@@ -25,9 +25,10 @@ from .orbits import (
     DEFAULT_ORDER_GUARD,
     apply_action,
     check_order_guard,
-    gather,
     is_ordinary,
-    iter_permutation_blocks,
+    min_sq_over_group,
+    non_identity,
+    optimum,
     quotient_distance,
 )
 
@@ -99,16 +100,10 @@ class Alignment:
     def _inner_with_center_orbit(self, x: GraphMatrix) -> tuple[float, float]:
         """(<x, z>, max over gamma != identity of <x, gamma z>)."""
         z = self.center_matrix.cells
-        base = 0.0
-        rest = -math.inf
-        for start, block in iter_permutation_blocks(self.n):
-            vals = np.einsum("mijc,ijc->m", gather(x.cells, block), z)
-            if start == 0:
-                base = float(vals[0])  # lexicographically first permutation is the identity
-                vals = vals[1:]
-            if len(vals):
-                rest = max(rest, float(vals.max()))
-        return base, rest
+        rest = optimum(
+            x.cells, lambda g: np.einsum("mijc,ijc->m", g, z), maximize=True, feasible=non_identity
+        )
+        return x.inner(self.center_matrix), rest.value
 
     def domain_margin(self, x: GraphMatrix) -> float:
         """<x, z> minus the best competing <x, gamma z>; the sign classifies
@@ -134,14 +129,7 @@ class Alignment:
         if self.n < 2:
             return math.inf
         z = self.center_matrix.cells
-        best = math.inf
-        for start, block in iter_permutation_blocks(self.n):
-            diff = gather(z, block) - z
-            sq = np.einsum("mijc,mijc->m", diff, diff)
-            if start == 0:
-                sq = sq[1:]
-            if len(sq):
-                best = min(best, float(sq.min()))
+        best = min_sq_over_group(z, z, feasible=non_identity).value
         if not math.isfinite(best) or best <= 0.0:
             raise ValueError("center is singular; no positive radius exists")
         return 0.25 * math.sqrt(best)
@@ -158,8 +146,7 @@ class Alignment:
         boundary ties resolve to the lexicographically smallest witness.
         """
         x = self._padded_matrix(g)
-        witness = quotient_distance(self.center_matrix, x, self.guard).witness
-        return apply_action(witness, x)
+        return apply_action(min_sq_over_group(self.center_matrix.cells, x.cells).witness, x)
 
     def expansion_check(
         self, x: AttributedGraph, y: AttributedGraph

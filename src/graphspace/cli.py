@@ -1,15 +1,17 @@
 """Command-line surface: distances, kernels, Gram matrices, alignments,
 sample means, and the verification suites.
 
-Exit codes: 0 success, 1 malformed input or failed validation, 2 order guard
-exceeded, 3 unknown check suite.  All output is deterministic for fixed
-inputs, flags, and seed.
+Exit codes: 0 success, 1 usage error, malformed input or failed validation,
+2 order guard exceeded, 3 unknown check suite.  Each subcommand accepts only
+the flags it honours.  All output is deterministic for fixed inputs, flags,
+and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -17,8 +19,16 @@ from pathlib import Path
 
 from .alignment import Alignment
 from .geometry import GraphSpaceConfig, sample_mean
-from .graphs import GraphFormatError, load_graph, serialize_graph
-from .kernels import DELTA, DOT, EditCost, edit_kernel, general_ged, induced_metric
+from .graphs import PADDING_MODES, GraphFormatError, load_graph, serialize_graph
+from .kernels import (
+    DELTA,
+    DOT,
+    MORPHISM_CLASSES,
+    EditCost,
+    edit_kernel,
+    general_ged,
+    induced_metric,
+)
 from .orbits import DEFAULT_ORDER_GUARD, OrderGuardError
 from .suites import SUITE_NAMES, run_suite
 
@@ -40,21 +50,36 @@ def _env_guard() -> int:
         raise GraphFormatError(f"GED_ORDER_GUARD is not an integer: {raw!r}")
 
 
-def _add_shared(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--score", choices=sorted(_SCORES), default="dot")
-    sp.add_argument(
-        "--class", dest="morphisms", choices=("all", "compact"), default="all"
-    )
-    sp.add_argument("--pad", choices=("bound", "pairwise-sum"), default="bound")
-    sp.add_argument("--order", type=int, default=None, help="fixed padding order")
-    sp.add_argument("--guard", type=int, default=None, help="permutation order guard")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("-o", "--output", default=None, help="write output to this path")
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with EXIT_INPUT; exit code 2
+    is reserved for the order guard."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+# Every optional flag; each subcommand declares the ones it honours.
+_FLAGS = {
+    "score": (("--score",), dict(choices=sorted(_SCORES), default="dot")),
+    "class": (("--class",), dict(dest="morphisms", choices=MORPHISM_CLASSES, default="all")),
+    "pad": (("--pad",), dict(choices=PADDING_MODES, default="bound")),
+    "order": (("--order",), dict(type=int, default=None, help="fixed padding order")),
+    "guard": (("--guard",), dict(type=int, default=None, help="permutation order guard")),
+    "seed": (("--seed",), dict(type=int, default=0)),
+    "tol": (("--tol",), dict(type=float, default=1e-9)),
+    "output": (("-o", "--output"), dict(default=None, help="write output to this path")),
+}
+
+
+def _add_flags(sp: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        flags, kwargs = _FLAGS[name]
+        sp.add_argument(*flags, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphspace",
         description="Exact graph edit kernels and the geometry of their metric spaces.",
     )
@@ -63,32 +88,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="metric between two graph files")
     p.add_argument("files", nargs=2)
     p.add_argument("--witness", action="store_true", help="also print the minimizer")
-    _add_shared(p)
+    _add_flags(p, "score", "class", "pad", "order", "guard", "output")
 
     p = sub.add_parser("kernel", help="edit kernel between two graph files")
     p.add_argument("files", nargs=2)
     p.add_argument("--witness", action="store_true", help="also print the maximizer")
-    _add_shared(p)
+    _add_flags(p, "score", "class", "pad", "order", "guard", "output")
 
     p = sub.add_parser("gram", help="pairwise kernel or distance matrix as CSV")
     p.add_argument("paths", nargs="+", help="graph files, or one directory of .json files")
     p.add_argument("--kind", choices=("kernel", "distance"), default="distance")
-    _add_shared(p)
+    _add_flags(p, "score", "class", "pad", "order", "guard", "tol", "output")
 
     p = sub.add_parser("align", help="aligned matrices of graphs along a center")
     p.add_argument("center")
     p.add_argument("graphs", nargs="+")
-    _add_shared(p)
+    _add_flags(p, "order", "guard", "output")
 
     p = sub.add_parser("mean", help="Frechet sample mean of graph files")
     p.add_argument("graphs", nargs="+")
     p.add_argument("--max-iter", type=int, default=100)
-    _add_shared(p)
+    _add_flags(p, "order", "guard", "output")
 
     p = sub.add_parser("check", help="run a named verification suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--trials", type=int, default=None)
-    _add_shared(p)
+    _add_flags(p, "seed", "tol", "guard", "output")
 
     return parser
 
@@ -112,8 +137,8 @@ def cmd_dist(args, guard: int) -> int:
     res = general_ged(
         x, y, EditCost.from_kernel(score), args.morphisms, args.pad, args.order, guard
     )
-    delta = max(res.value, 0.0) ** 0.5
-    lines = [f"{delta:.12f}"]
+    # the value of induced_metric, which gram's distance entries call
+    lines = [f"{math.sqrt(max(res.value, 0.0)):.12f}"]
     if args.witness:
         lines.append(_witness_line(res.witness))
     _emit("\n".join(lines), args.output)
@@ -167,12 +192,10 @@ def cmd_gram(args, guard: int) -> int:
     k = len(graphs)
 
     def entry(pair):
-        i, j = pair
+        x, y = graphs[pair[0]], graphs[pair[1]]
         if args.kind == "kernel":
-            return edit_kernel(
-                graphs[i], graphs[j], score, args.morphisms, "bound", order, guard
-            ).value
-        return induced_metric(graphs[i], graphs[j], score, "bound", order, guard)
+            return edit_kernel(x, y, score, args.morphisms, args.pad, order, guard).value
+        return induced_metric(x, y, score, args.pad, order, guard, args.morphisms)
 
     pairs = [(i, j) for i in range(k) for j in range(k)]
     with ThreadPoolExecutor(max_workers=min(4, max(1, len(pairs)))) as pool:
@@ -201,7 +224,7 @@ def cmd_align(args, guard: int) -> int:
 def cmd_mean(args, guard: int) -> int:
     graphs = [load_graph(p) for p in args.graphs]
     cfg = GraphSpaceConfig(order=args.order, guard=guard)
-    res = sample_mean(graphs, max_iter=args.max_iter, seed=args.seed, config=cfg)
+    res = sample_mean(graphs, max_iter=args.max_iter, config=cfg)
     payload = {
         "mean": json.loads(serialize_graph(res.mean)),
         "frechet_value": res.frechet_value,

@@ -9,7 +9,6 @@ constructions rely on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -19,18 +18,16 @@ from .graphs import (
     AttributedGraph,
     GraphMatrix,
     from_matrix,
-    pad_pair,
     pad_to_order,
     strip_null_nodes,
     to_matrix,
 )
-from .kernels import DOT, EditScore, edit_kernel
+from .kernels import DOT, _prepare, edit_kernel, induced_metric
 from .orbits import (
     DEFAULT_ORDER_GUARD,
     apply_action,
     check_order_guard,
     min_sq_over_group,
-    quotient_distance,
 )
 
 __all__ = [
@@ -51,16 +48,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GraphSpaceConfig:
-    """Shared settings for all graphs entering one geometric computation."""
+    """Shared settings for all graphs entering one geometric computation.
 
-    score: EditScore = DOT
+    The edit score is always ``DOT``: the geometry is that of the quotient
+    metric, which the dot score induces.
+    """
+
     padding: str = "bound"
     order: int | None = None
     guard: int = DEFAULT_ORDER_GUARD
-
-    def __post_init__(self):
-        if self.score.kind != "dot":
-            raise ValueError("geometric operations are defined for the dot score")
 
 
 _DEFAULT = GraphSpaceConfig()
@@ -70,20 +66,12 @@ def _cfg(config: GraphSpaceConfig | None) -> GraphSpaceConfig:
     return _DEFAULT if config is None else config
 
 
-def _matrices(
-    x: AttributedGraph, y: AttributedGraph, cfg: GraphSpaceConfig
-) -> tuple[GraphMatrix, GraphMatrix]:
-    xp, yp, n = pad_pair(x, y, cfg.padding, cfg.order)
-    check_order_guard(n, cfg.guard)
-    return to_matrix(xp), to_matrix(yp)
-
-
 def kernel_value(
     x: AttributedGraph, y: AttributedGraph, config: GraphSpaceConfig | None = None
 ) -> float:
     """Edit kernel over the full group: max over gamma of <x, gamma y>."""
     cfg = _cfg(config)
-    return edit_kernel(x, y, cfg.score, "all", cfg.padding, cfg.order, cfg.guard).value
+    return edit_kernel(x, y, DOT, "all", cfg.padding, cfg.order, cfg.guard).value
 
 
 def metric(
@@ -91,9 +79,7 @@ def metric(
 ) -> float:
     """The induced metric: min over gamma of ||x - gamma y||."""
     cfg = _cfg(config)
-    xm, ym = _matrices(x, y, cfg)
-    best_sq, _ = min_sq_over_group(xm.cells, ym.cells)
-    return math.sqrt(max(best_sq, 0.0))
+    return induced_metric(x, y, DOT, cfg.padding, cfg.order, cfg.guard)
 
 
 def scalar_mult(lam: float, x: AttributedGraph) -> AttributedGraph:
@@ -172,8 +158,8 @@ def midpoint(
     if x.directed != y.directed:
         raise ValueError("midpoint requires a common directedness")
     cfg = _cfg(config)
-    xm, ym = _matrices(x, y, cfg)
-    aligned = apply_action(quotient_distance(xm, ym, cfg.guard).witness, ym)
+    xm, ym = _prepare(x, y, cfg.padding, cfg.order, cfg.guard)
+    aligned = apply_action(min_sq_over_group(xm.cells, ym.cells).witness, ym)
     return _graph_of((xm.cells + aligned.cells) / 2.0, x.directed)
 
 
@@ -187,7 +173,6 @@ class MeanResult(NamedTuple):
 def sample_mean(
     graphs: Sequence[AttributedGraph],
     max_iter: int = 100,
-    seed: int | None = None,
     config: GraphSpaceConfig | None = None,
 ) -> MeanResult:
     """Fréchet sample mean by alternating alignment and averaging.
@@ -199,11 +184,9 @@ def sample_mean(
     the returned trace is non-increasing; iteration stops at a fixed point or
     after max_iter rounds.  This is a local method: the trace converges but
     the limit need not be a global minimizer on symmetric configurations.
-
-    ``seed`` is accepted for interface stability (stochastic restarts of the
-    same signature); the core iteration is deterministic and ignores it.
+    Every (mean, graph) pair is scanned once: the scan that scores a
+    candidate mean also aligns the graphs to it for the next round.
     """
-    del seed
     if not graphs:
         raise ValueError("sample_mean requires at least one graph")
     cfg = _cfg(config)
@@ -218,25 +201,21 @@ def sample_mean(
     check_order_guard(n, cfg.guard)
     mats = [to_matrix(pad_to_order(g, n)) for g in graphs]
 
-    def objective(cells: np.ndarray) -> float:
-        return sum(min_sq_over_group(cells, m.cells)[0] for m in mats)
-
-    frechet = [objective(m.cells) for m in mats]
-    cur = mats[int(np.argmin(frechet))].cells
-    trace = [min(frechet)]
+    fits = [[min_sq_over_group(a.cells, b.cells) for b in mats] for a in mats]
+    frechet = [sum(f.value for f in row) for row in fits]
+    start = int(np.argmin(frechet))
+    cur, fit = mats[start].cells, fits[start]
+    trace = [frechet[start]]
     converged = False
     for _ in range(max_iter):
-        aligned = [
-            apply_action(quotient_distance(GraphMatrix(cur), m, cfg.guard).witness, m).cells
-            for m in mats
-        ]
-        new = np.mean(aligned, axis=0)
+        new = np.mean([apply_action(f.witness, m).cells for f, m in zip(fit, mats)], axis=0)
+        new_fit = [min_sq_over_group(new, m.cells) for m in mats]
+        value = sum(f.value for f in new_fit)
         # accept only strict improvements: the trace stays non-increasing and
         # rounding noise in the average cannot displace an exact fixed point
-        value = objective(new)
         if value >= trace[-1]:
             converged = True
             break
-        cur = new
+        cur, fit = new, new_fit
         trace.append(value)
     return MeanResult(_graph_of(cur, directed), trace[-1], tuple(trace), converged)

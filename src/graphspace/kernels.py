@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,8 +32,8 @@ from .orbits import (
     apply_action,
     check_order_guard,
     gather,
-    iter_permutation_blocks,
-    permutation_array,
+    min_sq_over_group,
+    optimum,
 )
 
 __all__ = [
@@ -83,6 +84,10 @@ class EditScore:
 DOT = EditScore("dot")
 DELTA = EditScore("delta")
 
+# Built-in costs and the _block_scores kind that totals them; the kernel-dot
+# cost goes through min_sq_over_group instead.
+_COST_KINDS = {"kernel-delta": "cost-delta", "uniform": "uniform"}
+
 
 @dataclass(frozen=True)
 class EditCost:
@@ -127,9 +132,6 @@ def _block_scores(g: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
     if kind == "delta":
         eq = np.all(g == y, axis=-1) & np.any(y != 0.0, axis=-1)
         return eq.sum(axis=(1, 2)).astype(np.float64)
-    if kind == "cost-dot":
-        diff = g - y
-        return np.einsum("mijc,mijc->m", diff, diff)
     if kind == "cost-delta":
         nn_g = np.any(g != 0.0, axis=-1)
         nn_y = np.any(y != 0.0, axis=-1)
@@ -142,6 +144,18 @@ def _block_scores(g: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown score kind {kind!r}")
 
 
+def _custom_scores(g: np.ndarray, y: np.ndarray, cost: EditCost) -> np.ndarray:
+    """Per-permutation totals of a Python cost, summed cell by cell in (k, l) order."""
+    n = y.shape[0]
+    return np.array(
+        [
+            sum(cost(tuple(row[k, l]), tuple(y[k, l])) for k in range(n) for l in range(n))
+            for row in g
+        ],
+        dtype=np.float64,
+    )
+
+
 def _compact_mask(block: np.ndarray, rx: int, ry: int) -> np.ndarray:
     # The induced node map sends real x-node p[k] to y-node k; compactness
     # pins the smaller graph's real nodes onto the larger graph's real nodes.
@@ -151,56 +165,13 @@ def _compact_mask(block: np.ndarray, rx: int, ry: int) -> np.ndarray:
     return np.all(block[:, :ry] < rx, axis=1)
 
 
-def _optimize_over_group(
-    x: np.ndarray,
-    y: np.ndarray,
-    kind: str,
-    maximize: bool,
-    compact: tuple[int, int] | None = None,
-) -> tuple[float, int]:
-    """Best per-permutation total and the first (lex-smallest) attaining index."""
-    best = -math.inf if maximize else math.inf
-    best_idx = -1
-    for start, block in iter_permutation_blocks(x.shape[0]):
-        scores = _block_scores(gather(x, block), y, kind)
-        if compact is not None:
-            mask = _compact_mask(block, *compact)
-            scores = np.where(mask, scores, -math.inf if maximize else math.inf)
-        i = int(np.argmax(scores) if maximize else np.argmin(scores))
-        if (maximize and scores[i] > best) or (not maximize and scores[i] < best):
-            best = float(scores[i])
-            best_idx = start + i
-    if best_idx < 0 or not math.isfinite(best):
-        raise RuntimeError("no feasible permutation")  # unreachable: identity is compact
-    return best, best_idx
-
-
-def _optimize_custom_cost(
-    x: np.ndarray,
-    y: np.ndarray,
-    cost: EditCost,
-    compact: tuple[int, int] | None,
-) -> tuple[float, int]:
-    n = x.shape[0]
-    best = math.inf
-    best_idx = -1
-    for idx, p in enumerate(permutation_array(n)):
-        if compact is not None and not _compact_mask(p[None, :], *compact)[0]:
-            continue
-        total = 0.0
-        for k in range(n):
-            for l in range(n):
-                total += cost(tuple(x[p[k], p[l]]), tuple(y[k, l]))
-        if total < best:
-            best = total
-            best_idx = idx
-    if best_idx < 0:
-        raise RuntimeError("no feasible permutation")  # unreachable: identity is compact
-    return best, best_idx
-
-
-def _witness(n: int, idx: int) -> Permutation:
-    return Permutation(tuple(int(v) for v in permutation_array(n)[idx]))
+def _feasible(x: AttributedGraph, y: AttributedGraph, morphisms: str):
+    """Row mask of the bijection class, or None for the full group."""
+    if morphisms not in MORPHISM_CLASSES:
+        raise ValueError(f"unknown morphism class {morphisms!r}")
+    if morphisms == "all":
+        return None
+    return lambda block: _compact_mask(block, x.order, y.order)
 
 
 def transformation_score(
@@ -222,14 +193,9 @@ def transformation_cost(
     if cost.kind == "kernel-dot":
         diff = x.cells - gy.cells
         return float(np.einsum("ijc,ijc->", diff, diff))
-    if cost.kind in ("kernel-delta", "uniform"):
-        kind = "cost-delta" if cost.kind == "kernel-delta" else "uniform"
-        return float(_block_scores(gy.cells[None], x.cells, kind)[0])
-    total = 0.0
-    for i in range(x.n):
-        for j in range(x.n):
-            total += cost(tuple(x.cells[i, j]), tuple(gy.cells[i, j]))
-    return total
+    if cost.kind in _COST_KINDS:
+        return float(_block_scores(gy.cells[None], x.cells, _COST_KINDS[cost.kind])[0])
+    return float(_custom_scores(x.cells[None], gy.cells, cost)[0])
 
 
 def _prepare(
@@ -238,10 +204,10 @@ def _prepare(
     padding: str,
     order: int | None,
     guard: int,
-) -> tuple[GraphMatrix, GraphMatrix, int]:
+) -> tuple[GraphMatrix, GraphMatrix]:
     xp, yp, n = pad_pair(x, y, padding, order)
     check_order_guard(n, guard)
-    return to_matrix(xp), to_matrix(yp), n
+    return to_matrix(xp), to_matrix(yp)
 
 
 def edit_kernel(
@@ -260,12 +226,10 @@ def edit_kernel(
     mapping the smaller graph's real nodes onto real nodes.  The witness is
     the lexicographically smallest maximizer.
     """
-    if morphisms not in MORPHISM_CLASSES:
-        raise ValueError(f"unknown morphism class {morphisms!r}")
-    xm, ym, n = _prepare(x, y, padding, order, guard)
-    compact = (x.order, y.order) if morphisms == "compact" else None
-    value, idx = _optimize_over_group(xm.cells, ym.cells, score.kind, True, compact)
-    return Witnessed(value, _witness(n, idx))
+    feasible = _feasible(x, y, morphisms)
+    xm, ym = _prepare(x, y, padding, order, guard)
+    scores = partial(_block_scores, y=ym.cells, kind=score.kind)
+    return optimum(xm.cells, scores, maximize=True, feasible=feasible)
 
 
 def general_ged(
@@ -277,19 +241,19 @@ def general_ged(
     order: int | None = None,
     guard: int = DEFAULT_ORDER_GUARD,
 ) -> Witnessed:
-    """Minimum transformation cost over the chosen bijection class."""
-    if morphisms not in MORPHISM_CLASSES:
-        raise ValueError(f"unknown morphism class {morphisms!r}")
-    xm, ym, n = _prepare(x, y, padding, order, guard)
-    compact = (x.order, y.order) if morphisms == "compact" else None
+    """Minimum transformation cost over the chosen bijection class.
+
+    The kernel-dot cost is the squared quotient metric, ``min_sq_over_group``.
+    """
+    feasible = _feasible(x, y, morphisms)
+    xm, ym = _prepare(x, y, padding, order, guard)
+    if cost.kind == "kernel-dot":
+        return min_sq_over_group(xm.cells, ym.cells, feasible)
     if cost.kind == "custom":
-        value, idx = _optimize_custom_cost(xm.cells, ym.cells, cost, compact)
+        scores = partial(_custom_scores, y=ym.cells, cost=cost)
     else:
-        kind = {"kernel-dot": "cost-dot", "kernel-delta": "cost-delta", "uniform": "uniform"}[
-            cost.kind
-        ]
-        value, idx = _optimize_over_group(xm.cells, ym.cells, kind, False, compact)
-    return Witnessed(value, _witness(n, idx))
+        scores = partial(_block_scores, y=ym.cells, kind=_COST_KINDS[cost.kind])
+    return optimum(xm.cells, scores, feasible=feasible)
 
 
 def induced_metric(
@@ -299,14 +263,16 @@ def induced_metric(
     padding: str = "bound",
     order: int | None = None,
     guard: int = DEFAULT_ORDER_GUARD,
+    morphisms: str = "all",
 ) -> float:
     """The metric induced by the edit kernel, computed as the orbit minimum.
 
-    For the dot score this is min over gamma of ||x - gamma y||, which is a
-    metric unconditionally; zero exactly when the padded graphs are
-    isomorphic.
+    For the dot score over the full group this is min over gamma of
+    ||x - gamma y||, which is a metric unconditionally; zero exactly when the
+    padded graphs are isomorphic.  ``morphisms="compact"`` minimizes over
+    compact bijections only, as ``general_ged`` does.
     """
-    res = general_ged(x, y, EditCost.from_kernel(score), "all", padding, order, guard)
+    res = general_ged(x, y, EditCost.from_kernel(score), morphisms, padding, order, guard)
     return math.sqrt(max(res.value, 0.0))
 
 
@@ -347,9 +313,8 @@ def mcs_kernel(
     kernel value counts ordered pairs: nodes + 2*edges for undirected input.
     """
     res = edit_kernel(x, y, DELTA, "compact", "bound", None, guard)
-    xm, ym, n = _prepare(x, y, "bound", None, guard)
-    p = np.asarray(res.witness.images, dtype=np.intp)
-    g = xm.cells[p[:, None], p[None, :]]
+    xm, ym = _prepare(x, y, "bound", None, guard)
+    g = gather(xm.cells, np.asarray([res.witness.images], dtype=np.intp))[0]
     matched = np.all(g == ym.cells, axis=-1) & np.any(ym.cells != 0.0, axis=-1)
     nodes = int(np.trace(matched))
     ordered = int(matched.sum()) - nodes

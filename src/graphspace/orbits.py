@@ -6,6 +6,14 @@ the action are exactly isomorphism classes of (padded) graphs, and the
 quotient distance min over the group of ||x - gamma*y|| is the exact graph
 metric everything else in this package is built on.
 
+This module is the one place where permutations are enumerated (the
+independent oracles in ``bruteforce`` and the partial permutations of
+``kernels.subperm_metric`` aside).  ``_blocks`` walks the group block by
+block (``iter_permutation_blocks``); ``optimum`` gathers each block of the
+orbit of x, scores it with the caller's per-block function and keeps the
+best row.  Orbits, isotropy groups, kernels, metrics, alignments and means
+are all scans of this engine with their own scoring function.
+
 Permutations are enumerated in lexicographic order of their image sequences,
 and every "return one minimizer/maximizer" contract below breaks ties toward
 the lexicographically smallest permutation, which makes all results
@@ -18,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -145,12 +153,33 @@ class Orbit:
                    for e in self.elements)
 
 
+def _blocks(
+    n: int, feasible: Callable[[np.ndarray], np.ndarray] | None = None
+) -> Iterator[np.ndarray]:
+    """The one loop over the group: its permutations in lex order, by block.
+
+    ``feasible`` maps a block to a boolean row mask; rows failing it are
+    dropped, and blocks left empty are skipped.  Callers gather each block
+    while they score it, so one gathered block is alive at a time.
+    """
+    for _, block in iter_permutation_blocks(n):
+        if feasible is not None:
+            block = block[feasible(block)]
+        if len(block):
+            yield block
+
+
+def non_identity(block: np.ndarray) -> np.ndarray:
+    """Row mask of the permutations other than the identity."""
+    return np.any(block != np.arange(block.shape[1]), axis=1)
+
+
 def orbit(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> Orbit:
     """Enumerate the orbit of x with exact (bitwise) deduplication."""
     check_order_guard(x.n, guard)
     seen: dict[bytes, None] = {}
     elements: list[GraphMatrix] = []
-    for _, block in iter_permutation_blocks(x.n):
+    for block in _blocks(x.n):
         for row in gather(x.cells, block):
             key = row.tobytes()
             if key not in seen:
@@ -159,26 +188,24 @@ def orbit(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> Orbit:
     return Orbit(tuple(elements))
 
 
+def _fixing(x: GraphMatrix, block: np.ndarray) -> np.ndarray:
+    return np.all(gather(x.cells, block) == x.cells, axis=(1, 2, 3))
+
+
 def isotropy_group(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> tuple[Permutation, ...]:
     """All permutations fixing x exactly; always contains the identity."""
     check_order_guard(x.n, guard)
-    fixers: list[Permutation] = []
-    for _, block in iter_permutation_blocks(x.n):
-        hits = np.all(gather(x.cells, block) == x.cells, axis=(1, 2, 3))
-        for p in block[hits]:
-            fixers.append(Permutation(tuple(int(v) for v in p)))
-    return tuple(fixers)
+    return tuple(
+        Permutation(tuple(int(v) for v in p))
+        for block in _blocks(x.n)
+        for p in block[_fixing(x, block)]
+    )
 
 
 def is_ordinary(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> bool:
     """True iff only the identity fixes x (trivial isotropy group)."""
     check_order_guard(x.n, guard)
-    for start, block in iter_permutation_blocks(x.n):
-        hits = np.all(gather(x.cells, block) == x.cells, axis=(1, 2, 3))
-        count = int(hits.sum())
-        if count > 1 or (count == 1 and start > 0):
-            return False
-    return True
+    return not any(_fixing(x, block).any() for block in _blocks(x.n, non_identity))
 
 
 class Witnessed(NamedTuple):
@@ -188,23 +215,46 @@ class Witnessed(NamedTuple):
     witness: Permutation
 
 
-def min_sq_over_group(
-    x: np.ndarray, y: np.ndarray
-) -> tuple[float, int]:
-    """min over permutations p of ||x[ix_(p,p)] - y||^2, with first arg index.
+def optimum(
+    cells: np.ndarray,
+    score: Callable[[np.ndarray], np.ndarray],
+    maximize: bool = False,
+    feasible: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> Witnessed:
+    """Best score over the feasible permutations p, and the first p reaching it.
 
-    Equals min over gamma of ||x - gamma y||^2 where gamma has images p.
+    ``score`` maps a gathered block (rows cells[ix_(p, p)]) to one value per
+    row.  Ties break toward the lexicographically smallest permutation.  The
+    witness is None only when no permutation is feasible; the value is then
+    -inf when maximizing and inf when minimizing.
     """
-    best = math.inf
-    best_idx = 0
-    for start, block in iter_permutation_blocks(x.shape[0]):
-        diff = gather(x, block) - y
-        sq = np.einsum("mijc,mijc->m", diff, diff)
-        i = int(np.argmin(sq))
-        if sq[i] < best:
-            best = float(sq[i])
-            best_idx = start + i
-    return best, best_idx
+    pick = np.argmax if maximize else np.argmin
+    best, witness = (-math.inf if maximize else math.inf), None
+    for block in _blocks(cells.shape[0], feasible):
+        vals = score(gather(cells, block))
+        i = int(pick(vals))
+        if witness is None or (vals[i] > best if maximize else vals[i] < best):
+            best, witness = float(vals[i]), Permutation(tuple(int(v) for v in block[i]))
+    return Witnessed(best, witness)
+
+
+def min_sq_over_group(
+    x: np.ndarray,
+    y: np.ndarray,
+    feasible: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> Witnessed:
+    """min over permutations p of ||x[ix_(p,p)] - y||^2, with the first minimizer.
+
+    Equals min over gamma of ||x - gamma y||^2 where gamma has images p; the
+    one implementation of the quotient metric.  ``feasible`` restricts p as
+    in ``optimum``.
+    """
+
+    def score(stack: np.ndarray) -> np.ndarray:
+        diff = stack - y
+        return np.einsum("mijc,mijc->m", diff, diff)
+
+    return optimum(x, score, feasible=feasible)
 
 
 def quotient_distance(
@@ -221,6 +271,5 @@ def quotient_distance(
             f"shape mismatch: ({x.n}, d={x.dim}) vs ({y.n}, d={y.dim})"
         )
     check_order_guard(x.n, guard)
-    best_sq, idx = min_sq_over_group(x.cells, y.cells)
-    perm = Permutation(tuple(int(v) for v in permutation_array(x.n)[idx]))
-    return Witnessed(math.sqrt(max(best_sq, 0.0)), perm)
+    best_sq, witness = min_sq_over_group(x.cells, y.cells)
+    return Witnessed(math.sqrt(max(best_sq, 0.0)), witness)

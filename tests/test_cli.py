@@ -186,3 +186,37 @@ def test_gram_is_byte_deterministic(graph_files):
     first = run_cli("gram", str(tmp), "--kind", "distance")
     second = run_cli("gram", str(tmp), "--kind", "distance")
     assert first.stdout == second.stdout and first.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("dist", "a.json", "a.json", "--bogus"),
+        ("mean", "a.json", "--score", "delta"),
+        ("align", "a.json", "a.json", "--pad", "bound"),
+        ("dist", "a.json", "a.json", "--seed", "1"),
+        ("check", "--suite", "metric", "--class", "compact"),
+    ],
+)
+def test_usage_errors_exit_1(graph_files, args):
+    tmp, write = graph_files
+    write("a.json", '{"directed":false,"attr_dim":1,"nodes":[[3.0]],"edges":[]}')
+    res = run_cli(*(str(tmp / a) if a == "a.json" else a for a in args))
+    assert res.returncode == 1 and "error:" in res.stderr and res.stdout == ""
+
+
+def test_gram_distance_honours_pad_and_class_like_dist(graph_files):
+    tmp, write = graph_files
+    a = write("a.json", '{"directed":false,"attr_dim":1,"nodes":[[5.0]],"edges":[]}')
+    b = write("b.json", '{"directed":false,"attr_dim":1,"nodes":[[-3.0]],"edges":[]}')
+    # Pairwise-sum padding lets both real nodes route through null slots
+    # (sqrt 34); compact bijections forbid that and match them (8).
+    cases = [((), 8.0), (("--pad", "pairwise-sum"), 34.0**0.5),
+             (("--pad", "pairwise-sum", "--class", "compact"), 8.0)]
+    for flags, expected in cases:
+        gram = run_cli("gram", str(tmp), "--kind", "distance", *flags)
+        dist = run_cli("dist", a, b, *flags)
+        assert gram.returncode == dist.returncode == 0
+        entry = float(gram.stdout.splitlines()[1].split(",")[1])
+        assert entry == pytest.approx(expected, abs=1e-10)
+        assert float(dist.stdout) == pytest.approx(expected, abs=1e-12)
