@@ -38,6 +38,7 @@ EXIT_GUARD = 2
 EXIT_SUITE = 3
 
 _SCORES = {"dot": DOT, "delta": DELTA}
+_TOL = 1e-9
 
 
 def _env_guard() -> int:
@@ -67,7 +68,7 @@ _FLAGS = {
     "order": (("--order",), dict(type=int, default=None, help="fixed padding order")),
     "guard": (("--guard",), dict(type=int, default=None, help="permutation order guard")),
     "seed": (("--seed",), dict(type=int, default=0)),
-    "tol": (("--tol",), dict(type=float, default=1e-9)),
+    "tol": (("--tol",), dict(type=float, default=None, help=f"tolerance (default {_TOL})")),
     "output": (("-o", "--output"), dict(default=None, help="write output to this path")),
 }
 
@@ -182,12 +183,16 @@ def _validate_distance_matrix(m: list[list[float]], tol: float) -> None:
 
 
 def cmd_gram(args, guard: int) -> int:
+    if args.kind == "kernel" and args.tol is not None:
+        raise ValueError("--tol applies to gram --kind distance only")
     files = _resolve_collection(args.paths)
     graphs = [load_graph(f) for f in files]
     dims = {g.dim for g in graphs}
     if len(dims) != 1:
         raise GraphFormatError(f"mixed attribute dimensions: {sorted(dims)}")
-    order = args.order if args.order is not None else max(g.order for g in graphs)
+    order = args.order
+    if order is None and args.pad == "bound":
+        order = max(g.order for g in graphs)
     score = _SCORES[args.score]
     k = len(graphs)
 
@@ -202,7 +207,7 @@ def cmd_gram(args, guard: int) -> int:
         values = list(pool.map(entry, pairs))
     matrix = [[values[i * k + j] for j in range(k)] for i in range(k)]
     if args.kind == "distance":
-        _validate_distance_matrix(matrix, args.tol)
+        _validate_distance_matrix(matrix, _TOL if args.tol is None else args.tol)
     lines = [",".join(f.name for f in files)]
     lines += [",".join(f"{v:.12g}" for v in row) for row in matrix]
     _emit("\n".join(lines) + "\n", args.output)
@@ -244,7 +249,8 @@ def cmd_check(args, guard: int) -> int:
             file=sys.stderr,
         )
         return EXIT_SUITE
-    report = run_suite(args.suite, args.trials, args.seed, args.tol, guard)
+    tol = _TOL if args.tol is None else args.tol
+    report = run_suite(args.suite, args.trials, args.seed, tol, guard)
     text = "\n".join(report.lines())
     _emit(text, args.output)
     return EXIT_OK if report.passed else 1

@@ -25,6 +25,8 @@ from .graphs import (
 from .kernels import DOT, _prepare, edit_kernel, induced_metric
 from .orbits import (
     DEFAULT_ORDER_GUARD,
+    Permutation,
+    Witnessed,
     apply_action,
     check_order_guard,
     min_sq_over_group,
@@ -185,7 +187,8 @@ def sample_mean(
     after max_iter rounds.  This is a local method: the trace converges but
     the limit need not be a global minimizer on symmetric configurations.
     Every (mean, graph) pair is scanned once: the scan that scores a
-    candidate mean also aligns the graphs to it for the next round.
+    candidate mean also aligns the graphs to it for the next round.  The
+    start selection scans every ordered pair of distinct inputs.
     """
     if not graphs:
         raise ValueError("sample_mean requires at least one graph")
@@ -201,7 +204,11 @@ def sample_mean(
     check_order_guard(n, cfg.guard)
     mats = [to_matrix(pad_to_order(g, n)) for g in graphs]
 
-    fits = [[min_sq_over_group(a.cells, b.cells) for b in mats] for a in mats]
+    # A graph is at squared distance exactly 0.0 from itself, first reached
+    # at the identity: the diagonal needs no scan.
+    same = Witnessed(0.0, Permutation.identity(n))
+    fits = [[same if i == j else min_sq_over_group(a.cells, b.cells)
+             for j, b in enumerate(mats)] for i, a in enumerate(mats)]
     frechet = [sum(f.value for f in row) for row in fits]
     start = int(np.argmin(frechet))
     cur, fit = mats[start].cells, fits[start]

@@ -341,13 +341,16 @@ def pad_pair(
 ) -> tuple[AttributedGraph, AttributedGraph, int]:
     """Size-align two graphs.
 
-    ``pairwise-sum`` pads both to order(x) + order(y); ``bound`` pads both to
-    a fixed order (given, or the larger of the two).  Fixed-order padding is
-    what makes distances across a whole collection a metric.
+    ``pairwise-sum`` pads both to order(x) + order(y) and takes no
+    ``order``; ``bound`` pads both to a fixed order (given, or the larger of
+    the two).  Fixed-order padding is what makes distances across a whole
+    collection a metric.
     """
     if x.dim != y.dim:
         raise GraphFormatError(f"dimension mismatch: {x.dim} vs {y.dim}")
     if padding == "pairwise-sum":
+        if order is not None:
+            raise ValueError("pairwise-sum padding takes no order; use bound padding")
         n = x.order + y.order
     elif padding == "bound":
         n = max(x.order, y.order) if order is None else order

@@ -196,6 +196,9 @@ def test_gram_is_byte_deterministic(graph_files):
         ("align", "a.json", "a.json", "--pad", "bound"),
         ("dist", "a.json", "a.json", "--seed", "1"),
         ("check", "--suite", "metric", "--class", "compact"),
+        ("gram", "a.json", "--kind", "kernel", "--tol", "1e-6"),
+        ("dist", "a.json", "a.json", "--pad", "pairwise-sum", "--order", "5"),
+        ("gram", "a.json", "--pad", "pairwise-sum", "--order", "5"),
     ],
 )
 def test_usage_errors_exit_1(graph_files, args):
@@ -203,6 +206,16 @@ def test_usage_errors_exit_1(graph_files, args):
     write("a.json", '{"directed":false,"attr_dim":1,"nodes":[[3.0]],"edges":[]}')
     res = run_cli(*(str(tmp / a) if a == "a.json" else a for a in args))
     assert res.returncode == 1 and "error:" in res.stderr and res.stdout == ""
+
+
+def test_gram_tol_applies_to_distances(graph_files):
+    tmp, write = graph_files
+    write("a.json", '{"directed":false,"attr_dim":1,"nodes":[[3.0]],"edges":[]}')
+    write("b.json", '{"directed":false,"attr_dim":1,"nodes":[[5.0],[1.0]],"edges":[]}')
+    default = run_cli("gram", str(tmp), "--kind", "distance")
+    explicit = run_cli("gram", str(tmp), "--kind", "distance", "--tol", "1e-6")
+    assert default.returncode == explicit.returncode == 0
+    assert default.stdout == explicit.stdout
 
 
 def test_gram_distance_honours_pad_and_class_like_dist(graph_files):

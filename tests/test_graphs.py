@@ -162,6 +162,8 @@ def test_pad_pair_modes():
     assert n == 5
     with pytest.raises(ValueError):
         pad_pair(a, b, "bound", order=1)
+    with pytest.raises(ValueError, match="pairwise-sum"):
+        pad_pair(a, b, "pairwise-sum", order=5)
     with pytest.raises(GraphFormatError):
         pad_pair(a, AttributedGraph(False, 2, [(1.0, 1.0)]), "bound")
 

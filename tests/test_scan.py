@@ -2,10 +2,12 @@
 
 The reference enumerates ``itertools.permutations`` in lexicographic order,
 scores each permutation from the definitions, and keeps the first optimum.
-It walks the group in blocks of ``REF_BLOCK`` (not the engine's 40320), so a
+It walks the group in blocks of ``REF_BLOCK`` (not the engine's 5040), so a
 block-boundary error in the engine cannot hide behind the same one here.
-Attributes are small integers, so every value is exact and ties are common:
-values are compared with ``==`` and witnesses must be the lex-smallest.
+Most attributes are small integers, so every value is exact and ties are
+common: values are compared with ``==`` and witnesses must be the
+lex-smallest.  The near-tie tests use float attributes and compare bit for
+bit with the diff form evaluated on every row.
 """
 
 import itertools
@@ -14,14 +16,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphspace
+from graphspace import orbits
 from graphspace import (
     DELTA,
     DOT,
     Alignment,
     EditCost,
+    GraphMatrix,
     edit_kernel,
+    from_matrix,
     general_ged,
     is_ordinary,
     isotropy_group,
@@ -207,7 +214,7 @@ def test_order_nine_optimum_in_a_later_block():
     ker = edit_kernel(x, y)
     assert (ker.value, ker.witness.images) == ref_optimum(9, dot_score(xm, ym), True)
     assert ker.witness.images == p
-    # a block holds 8! permutations sharing their first image
+    # a block holds 7! permutations sharing their first two images
     assert p[0] > 0
 
 
@@ -229,3 +236,111 @@ def test_only_orbits_enumerates_permutation_blocks():
     users = [f.name for f in sorted(src.glob("*.py"))
              if "iter_permutation_blocks" in f.read_text(encoding="utf-8")]
     assert users == ["orbits.py"]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_blocks_concatenate_to_the_lex_ordered_group(n):
+    perms = itertools.permutations(range(n))
+    offset = 0
+    for start, block in orbits.iter_permutation_blocks(n):
+        assert start == offset and 1 <= len(block) <= 5040
+        expected = np.array(list(itertools.islice(perms, len(block))), dtype=np.intp)
+        assert np.array_equal(block, expected.reshape(len(block), n))
+        offset += len(block)
+    assert offset == math.factorial(n) and next(perms, None) is None
+
+
+@pytest.mark.parametrize("n, d", [(0, 1), (1, 2), (5, 3), (8, 2), (9, 1)])
+def test_flat_gather_equals_reference_gather(n, d):
+    cells = np.random.default_rng(n).normal(size=(n, n, d))
+    dense = lambda block: np.arange(len(block)) % 3 != 1  # noqa: E731
+    sparse = lambda block: np.arange(len(block)) % 3 == 1  # noqa: E731
+    for feasible in (None, dense, sparse):
+        for block in orbits._blocks(n, feasible):
+            got, ref = block.gather(cells), orbits.gather(cells, block.perms)
+            assert got.flags.c_contiguous and np.array_equal(got, ref)
+
+
+def test_order_nine_scan_builds_no_table_beyond_seven(monkeypatch):
+    orders = []
+    real = orbits.permutation_array
+
+    def counting(n):
+        orders.append(n)
+        return real(n)
+
+    monkeypatch.setattr(orbits, "permutation_array", counting)
+    orbits._base.cache_clear()
+    orbits._flat_index.cache_clear()
+    try:
+        x, y = unit_cycle(9), unit_path(9)
+        quotient_distance(to_matrix(x), to_matrix(y))
+        edit_kernel(x, y, DELTA, "compact")
+        assert not is_ordinary(to_matrix(x))
+    finally:
+        orbits._base.cache_clear()
+        orbits._flat_index.cache_clear()
+    assert orders and max(orders) <= 7
+
+
+def diff_form(x, y):
+    """The diff-form score evaluated on every row, as a scan of all rows would."""
+
+    def score(p):
+        diff = permuted(x, p) - y
+        return np.einsum("mijc,mijc->m", diff, diff)
+
+    return score
+
+
+def _near_tie_pair(n, d, seed, kind, scale):
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        x = np.full((n, n, d), rng.normal())
+        y = x.copy()
+    elif kind == "float":
+        x, y = rng.normal(size=(2, n, n, d))
+    else:  # relabelled copy plus noise; "symmetric" starts from a unit cycle
+        x = rng.normal(size=(n, n, d))
+        if kind == "symmetric":
+            x = to_matrix(unit_cycle(n)).cells * x[0, 0] if n >= 3 else x
+        p = rng.permutation(n)
+        y = x[np.ix_(p, p)] + 1e-13 * rng.normal(size=x.shape)
+        x = x + 1e-13 * rng.normal(size=x.shape)
+    return x * scale, y * scale
+
+
+NEAR_TIES = dict(
+    n=st.integers(1, 8),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["float", "noisy-copy", "symmetric", "constant"]),
+    scale=st.sampled_from([1.0, 1e-150, 1e150, 1e160]),
+)
+
+
+def _bits(value, witness):
+    return value.hex(), tuple(witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**NEAR_TIES)
+def test_min_sq_over_group_matches_diff_form_bit_for_bit(n, d, seed, kind, scale):
+    x, y = _near_tie_pair(n, d, seed, kind, scale)
+    res = orbits.min_sq_over_group(x, y)
+    assert _bits(res.value, res.witness.images) == _bits(*ref_optimum(n, diff_form(x, y)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**NEAR_TIES)
+def test_rho_star_matches_diff_form_bit_for_bit(n, d, seed, kind, scale):
+    z = _near_tie_pair(max(n, 2), d, seed, kind, scale)[0]
+    center = from_matrix(GraphMatrix(z), directed=True)
+    assert np.array_equal(to_matrix(center).cells, z)
+    not_identity = lambda p: np.any(p != np.arange(len(z)), axis=1)  # noqa: E731
+    sq, _ = ref_optimum(len(z), diff_form(z, z), feasible=not_identity)
+    if not 0.0 < sq < math.inf:  # fixed by some gamma, or distances under- or overflow
+        with pytest.raises(ValueError):
+            Alignment(center).rho_star
+        return
+    assert Alignment(center).rho_star.hex() == (0.25 * math.sqrt(sq)).hex()
