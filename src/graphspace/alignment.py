@@ -26,9 +26,9 @@ from .orbits import (
     apply_action,
     check_order_guard,
     is_ordinary,
+    max_inner_over_group,
     min_sq_over_group,
     non_identity,
-    optimum,
     quotient_distance,
 )
 
@@ -99,10 +99,7 @@ class Alignment:
 
     def _inner_with_center_orbit(self, x: GraphMatrix) -> tuple[float, float]:
         """(<x, z>, max over gamma != identity of <x, gamma z>)."""
-        z = self.center_matrix.cells
-        rest = optimum(
-            x.cells, lambda g: np.einsum("mijc,ijc->m", g, z), maximize=True, feasible=non_identity
-        )
+        rest = max_inner_over_group(x.cells, self.center_matrix.cells, non_identity)
         return x.inner(self.center_matrix), rest.value
 
     def domain_margin(self, x: GraphMatrix) -> float:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .alignment import Alignment
 from .geometry import GraphSpaceConfig, sample_mean
-from .graphs import PADDING_MODES, GraphFormatError, load_graph, serialize_graph
+from .graphs import PADDING_MODES, GraphFormatError, load_graph, pad_pair, serialize_graph
 from .kernels import (
     DELTA,
     DOT,
@@ -29,7 +29,7 @@ from .kernels import (
     general_ged,
     induced_metric,
 )
-from .orbits import DEFAULT_ORDER_GUARD, OrderGuardError
+from .orbits import DEFAULT_ORDER_GUARD, OrderGuardError, check_order_guard
 from .suites import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -193,6 +193,10 @@ def cmd_gram(args, guard: int) -> int:
     order = args.order
     if order is None and args.pad == "bound":
         order = max(g.order for g in graphs)
+    # Padding each graph against itself checks the flags and the order guard
+    # as the diagonal scans would, also where the diagonal is not scanned.
+    for g in graphs:
+        check_order_guard(pad_pair(g, g, args.pad, order)[2], guard)
     score = _SCORES[args.score]
     k = len(graphs)
 
@@ -202,10 +206,16 @@ def cmd_gram(args, guard: int) -> int:
             return edit_kernel(x, y, score, args.morphisms, args.pad, order, guard).value
         return induced_metric(x, y, score, args.pad, order, guard, args.morphisms)
 
-    pairs = [(i, j) for i in range(k) for j in range(k)]
+    # Both kinds are symmetric: scan each unordered pair once.  The kernel
+    # diagonal is scanned, since the self-kernel's maximum can round above
+    # the identity's score; a distance diagonal is 0.0, the identity's
+    # diff form.
+    first = 0 if args.kind == "kernel" else 1
+    pairs = [(i, j) for i in range(k) for j in range(i + first, k)]
+    matrix = [[0.0] * k for _ in range(k)]
     with ThreadPoolExecutor(max_workers=min(4, max(1, len(pairs)))) as pool:
-        values = list(pool.map(entry, pairs))
-    matrix = [[values[i * k + j] for j in range(k)] for i in range(k)]
+        for (i, j), value in zip(pairs, pool.map(entry, pairs)):
+            matrix[i][j] = matrix[j][i] = value
     if args.kind == "distance":
         _validate_distance_matrix(matrix, _TOL if args.tol is None else args.tol)
     lines = [",".join(f.name for f in files)]

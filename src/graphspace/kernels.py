@@ -16,10 +16,8 @@ rather than assuming it away.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,9 +27,11 @@ from .orbits import (
     DEFAULT_ORDER_GUARD,
     Permutation,
     Witnessed,
+    _partial_permutations,
     apply_action,
     check_order_guard,
     gather,
+    max_inner_over_group,
     min_sq_over_group,
     optimum,
 )
@@ -84,7 +84,7 @@ class EditScore:
 DOT = EditScore("dot")
 DELTA = EditScore("delta")
 
-# Built-in costs and the _block_scores kind that totals them; the kernel-dot
+# Built-in costs and the _cell_scores kind that scores them; the kernel-dot
 # cost goes through min_sq_over_group instead.
 _COST_KINDS = {"kernel-delta": "cost-delta", "uniform": "uniform"}
 
@@ -125,35 +125,33 @@ class EditCost:
         return float(self.fn(a, b))
 
 
-def _block_scores(g: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
-    """Per-permutation totals for one gathered block g of x against y."""
-    if kind == "dot":
-        return np.einsum("mijc,ijc->m", g, y)
+def _cell_scores(g: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
+    """Per-cell scores of x's cells g against y's, broadcast over (..., d) cells."""
     if kind == "delta":
-        eq = np.all(g == y, axis=-1) & np.any(y != 0.0, axis=-1)
-        return eq.sum(axis=(1, 2)).astype(np.float64)
+        return (np.all(g == y, axis=-1) & np.any(y != 0.0, axis=-1)).astype(np.float64)
     if kind == "cost-delta":
         nn_g = np.any(g != 0.0, axis=-1)
         nn_y = np.any(y != 0.0, axis=-1)
         eq = np.all(g == y, axis=-1)
-        per_cell = nn_g.astype(np.int64) + nn_y - 2 * (eq & nn_y)
-        return per_cell.sum(axis=(1, 2)).astype(np.float64)
+        return (nn_g.astype(np.int64) + nn_y - 2 * (eq & nn_y)).astype(np.float64)
     if kind == "uniform":
-        differs = ~np.all(g == y, axis=-1)
-        return differs.sum(axis=(1, 2)).astype(np.float64)
+        return (~np.all(g == y, axis=-1)).astype(np.float64)
     raise ValueError(f"unknown score kind {kind!r}")
 
 
-def _custom_scores(g: np.ndarray, y: np.ndarray, cost: EditCost) -> np.ndarray:
-    """Per-permutation totals of a Python cost, summed cell by cell in (k, l) order."""
-    n = y.shape[0]
-    return np.array(
-        [
-            sum(cost(tuple(row[k, l]), tuple(y[k, l])) for k in range(n) for l in range(n))
-            for row in g
-        ],
-        dtype=np.float64,
-    )
+def _score_table(x: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
+    """The (n, n, n*n) cell-pair table of a built-in score (``orbits.optimum``)."""
+    n, d = x.shape[0], x.shape[2]
+    scores = _cell_scores(x.reshape(n * n, 1, d), y.reshape(1, n * n, d), kind)
+    return scores.reshape(n, n, n * n)
+
+
+def _cost_table(x: np.ndarray, y: np.ndarray, cost: EditCost) -> np.ndarray:
+    """The cell-pair table of a Python cost: n**4 calls, one per cell pair."""
+    n, d = x.shape[0], x.shape[2]
+    ys = [tuple(c) for c in y.reshape(n * n, d)]
+    table = [[cost(tuple(a), b) for b in ys] for a in x.reshape(n * n, d)]
+    return np.array(table, dtype=np.float64).reshape(n, n, n * n)
 
 
 def _compact_mask(block: np.ndarray, rx: int, ry: int) -> np.ndarray:
@@ -194,8 +192,12 @@ def transformation_cost(
         diff = x.cells - gy.cells
         return float(np.einsum("ijc,ijc->", diff, diff))
     if cost.kind in _COST_KINDS:
-        return float(_block_scores(gy.cells[None], x.cells, _COST_KINDS[cost.kind])[0])
-    return float(_custom_scores(x.cells[None], gy.cells, cost)[0])
+        return float(_cell_scores(gy.cells, x.cells, _COST_KINDS[cost.kind]).sum())
+    # cell by cell in (k, l) order, as general_ged totals a custom cost
+    total = 0.0
+    for a, b in zip(x.cells.reshape(-1, x.dim), gy.cells.reshape(-1, x.dim)):
+        total += cost(tuple(a), tuple(b))
+    return total
 
 
 def _prepare(
@@ -228,8 +230,10 @@ def edit_kernel(
     """
     feasible = _feasible(x, y, morphisms)
     xm, ym = _prepare(x, y, padding, order, guard)
-    scores = partial(_block_scores, y=ym.cells, kind=score.kind)
-    return optimum(xm.cells, scores, maximize=True, feasible=feasible)
+    if score.kind == "dot":
+        return max_inner_over_group(xm.cells, ym.cells, feasible)
+    table = _score_table(xm.cells, ym.cells, score.kind)
+    return optimum(table, maximize=True, feasible=feasible)
 
 
 def general_ged(
@@ -244,16 +248,18 @@ def general_ged(
     """Minimum transformation cost over the chosen bijection class.
 
     The kernel-dot cost is the squared quotient metric, ``min_sq_over_group``.
+    Other costs are totalled through their cell-pair table; a custom cost is
+    called once per pair of cells (n**4 calls) and each total adds its cells
+    in (k, l) order, as ``transformation_cost`` does.
     """
     feasible = _feasible(x, y, morphisms)
     xm, ym = _prepare(x, y, padding, order, guard)
     if cost.kind == "kernel-dot":
         return min_sq_over_group(xm.cells, ym.cells, feasible)
     if cost.kind == "custom":
-        scores = partial(_custom_scores, y=ym.cells, cost=cost)
-    else:
-        scores = partial(_block_scores, y=ym.cells, kind=_COST_KINDS[cost.kind])
-    return optimum(xm.cells, scores, feasible=feasible)
+        return optimum(_cost_table(xm.cells, ym.cells, cost), feasible=feasible, in_order=True)
+    table = _score_table(xm.cells, ym.cells, _COST_KINDS[cost.kind])
+    return optimum(table, feasible=feasible)
 
 
 def induced_metric(
@@ -342,11 +348,7 @@ def subperm_metric(
     if ns == 0:
         return math.sqrt(total_sq)
     best = math.inf
-    chosen = np.array(
-        list(itertools.permutations(range(nb), ns)), dtype=np.intp
-    )
-    for start in range(0, len(chosen), 40320):
-        q = chosen[start : start + 40320]
+    for q in _partial_permutations(nb, ns):
         sub = a[q[:, :, None], q[:, None, :]]
         diff = sub - b
         cost = (

@@ -7,12 +7,18 @@ quotient distance min over the group of ||x - gamma*y|| is the exact graph
 metric everything else in this package is built on.
 
 This module is the one place where permutations are enumerated (the
-independent oracles in ``bruteforce`` and the partial permutations of
-``kernels.subperm_metric`` aside).  ``_blocks`` walks the group block by
-block (``iter_permutation_blocks``); ``optimum`` gathers each block of the
-orbit of x, scores it with the caller's per-block function and keeps the
-best row.  Orbits, isotropy groups, kernels, metrics, alignments and means
-are all scans of this engine with their own scoring function.
+independent oracles in ``bruteforce`` aside; ``_partial_permutations``
+streams the partial ones of ``kernels.subperm_metric``).  ``_blocks`` walks
+the group block by block (``iter_permutation_blocks``).  Every score in
+this package is a sum over cells, sum over (i, j) of s(x[p_i, p_j], y[i, j]):
+Lawler's form of the quadratic assignment problem.  So a scan first
+tabulates s for every pair of a source cell of x and a target cell of y, an
+(n, n, n*n) cell-pair table with table[a, b, i*n + j] = s(x[a, b], y[i, j]),
+and totals each permutation from that table instead of gathering its n*n*d
+attribute cells.  ``optimum`` keeps the best total; ``max_inner_over_group``
+and ``min_sq_over_group`` rank by the table of inner products and decide in
+the reference forms.  Orbits, isotropy groups, kernels, metrics, alignments
+and means are all scans of this engine.
 
 The scan is memory-bounded and never materialises the whole group:
 
@@ -23,19 +29,31 @@ The scan is memory-bounded and never materialises the whole group:
   order and ``base`` is one cached (m!, n) table: the identity on the prefix
   positions, then every permutation of the last m positions.  Only
   ``permutation_array(m)`` with m <= 7 is ever built.
-* Flat-index gather.  Because block t is sigma composed with ``base``, its
-  gathered rows are ``cells[ix_(sigma, sigma)]`` read through one cached
-  (m!, n*n*d) table of flat cell offsets of ``base``: the matrix is
-  relabelled once per block and then read with a single 1-D fancy index,
-  instead of a broadcast (rows, n, n) index.  The rows are bit for bit those
-  of the reference ``gather(cells, block)``.
-* Memory.  One gathered block takes at most 5040*n*n*d*8 bytes (3.3 MB per
-  channel at n = 9), the flat table as much again, whatever the order guard
-  admits.
-* Shortlist.  ``min_sq_over_group`` ranks a block by the inner products
-  <gamma x, y> and re-scores in the reference diff form only the rows within
-  a forward-error bound of the block's best (derivation in its docstring),
-  so its values and witnesses are those of a diff-form scan of every row.
+* Folded tables.  Because block t is sigma composed with ``base``, a block
+  relabels the table once, ``table[ix_(sigma, sigma)]``, and folds it onto
+  its m free positions (``_fold``): the cells among fixed positions add up
+  to one constant, a cell between a fixed and a free position joins the
+  free diagonal, and cell (i, j) joins cell (j, i).  A row total is then
+  the constant plus m(m+1)/2 entries, 28 instead of n*n = 81 at n = 9.
+* One index table.  The entries are read through one cached
+  (m(m+1)/2, m!) table of offsets, ``_offsets(m)``, which depends neither on
+  n beyond m nor on the attribute dimension d (1.1 MB for m = 7).  The rows
+  a scan re-scores, ``orbit`` and the witnesses are gathered from the
+  block's permutations in the reference form.
+* Memory.  A scan holds its table, n**4 * 8 bytes (52 KB at n = 9), and
+  per block the read entries, 5040 * 28 * 8 bytes (1.1 MB), and one total
+  per row; re-scores gather only the rows they check.
+* Exact totals.  Scores with integer values per cell (the delta kernel and
+  cost, the uniform cost, the cell-equality count behind ``isotropy_group``)
+  total exactly in any order, so their folded totals are the reference
+  totals.  A custom cost's totals add each row's n*n entries one at a time
+  in cell order instead, as Python's ``sum`` of floats does (before 3.12).
+* Inner products.  When x and y hold integers with
+  N (max|x| + max|y|)^2 < 2^53 (N = n*n*d), every sum over their cells is
+  exact and the table inner products are the reference values.  Otherwise
+  they only rank: rows within a forward-error bound of a block's best are
+  re-scored in the reference form (derivation in ``min_sq_over_group``), so
+  values and witnesses are those of a reference scan of every row.
 
 Permutations are enumerated in lexicographic order of their image sequences,
 and every "return one minimizer/maximizer" contract below breaks ties toward
@@ -73,6 +91,7 @@ DEFAULT_ORDER_GUARD = 9
 
 # A block permutes the last _FREE positions: 7! = 5040 rows.
 _FREE = 7
+_BLOCK_ROWS = math.factorial(_FREE)
 # Rows re-scored at once by min_sq_over_group; bounds the extra memory of a
 # block whose rows all tie (a unit star, say).
 _RESCORE = 512
@@ -149,15 +168,47 @@ def _base(n: int) -> np.ndarray:
     return base
 
 
-@lru_cache(maxsize=4)
-def _flat_index(n: int, d: int) -> np.ndarray:
-    """(m!, n*n*d) flat offsets: row r reads cells[ix_(b, b)] off a C-ordered
-    (n, n, d) matrix, for b the r-th row of ``_base(n)``."""
-    base = _base(n)
-    cell = base[:, :, None] * n + base[:, None, :]
-    flat = (cell[..., None] * d + np.arange(d)).reshape(len(base), n * n * d)
-    flat.flags.writeable = False
-    return flat
+@lru_cache(maxsize=None)
+def _offsets(m: int) -> np.ndarray:
+    """(m(m+1)/2, m!) offsets into an (m, m, m(m+1)/2) pair table (``_fold``):
+    for the u-th cell (i, j), i <= j, of an m x m matrix in C order and the
+    r-th permutation t of ``permutation_array(m)``, entry [u, r] is
+    (t_i*m + t_j) * m(m+1)/2 + u."""
+    perms = permutation_array(m)
+    i, j = np.triu_indices(m)
+    offsets = ((perms[:, i] * m + perms[:, j]) * len(i) + np.arange(len(i))).T.copy()
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _fold(rel: np.ndarray) -> tuple[float, np.ndarray]:
+    """(const, pairs) of a block's relabelled (n, n, n*n) cell-pair table.
+
+    Every row of the block fixes its first k = n - m positions and permutes
+    the last m.  The total of row t is const plus, over the cells (i, j),
+    i <= j, of the m x m free corner, pairs[t_i, t_j, u] with u the cell's
+    position among them: const holds the fixed cells, the cells between a
+    fixed and a free position are added to the free diagonal, and each cell
+    (i, j), i < j, is paired with (j, i).  Each total still adds each of
+    its cell scores once.
+    """
+    n = rel.shape[0]
+    m = min(n, _FREE)
+    k = n - m
+    s = rel.reshape(n, n, n, n)
+    free = s[k:, k:, k:, k:]
+    const = 0.0
+    if k:
+        const = np.einsum("ijij->", s[:k, :k, :k, :k])
+        free = free.copy()
+        a = np.arange(m)
+        free[a[:, None], a[:, None], a[None, :], a[None, :]] += np.einsum(
+            "ibij->bj", s[:k, k:, :k, k:]
+        ) + np.einsum("ajij->ai", s[k:, :k, k:, :k])
+    i, j = np.triu_indices(m)
+    mirror = free.transpose(1, 0, 3, 2)[:, :, i, j]
+    mirror[:, :, i == j] = 0.0
+    return const, free[:, :, i, j] + mirror
 
 
 def iter_permutation_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -177,12 +228,20 @@ def iter_permutation_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
         yield t * len(base), sigma[base]
 
 
+def _partial_permutations(n: int, k: int) -> Iterator[np.ndarray]:
+    """The k-permutations of 0..n-1 in lex order, at most 7! rows at a time."""
+    perms = itertools.permutations(range(n), k)
+    while chunk := list(itertools.islice(perms, _BLOCK_ROWS)):
+        yield np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
+
+
 def gather(cells: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """cells indexed by each permutation p: out[m] = cells[ix_(p, p)].
 
     Row m equals the matrix of the inverse action of the m-th permutation,
     so {out[m]} ranges over the full orbit of ``cells``.  This is the
-    reference form; engine scans read whole blocks through ``_Block.gather``.
+    reference form; engine scans total blocks through ``_Block.totals`` and
+    gather the rows they re-score through ``_Block.gather``.
     """
     return cells[perms[:, :, None], perms[:, None, :]]
 
@@ -214,21 +273,41 @@ class Orbit:
 
 
 class _Block(NamedTuple):
-    """The permutations of one prefix block that a scan gathers."""
+    """The permutations of one prefix block that a scan scores."""
 
     sigma: np.ndarray  # the block's relabelling: its first permutation
-    perms: np.ndarray  # the permutations gathered, one per row, in lex order
+    perms: np.ndarray  # the permutations scored, one per row, in lex order
     rows: np.ndarray | None  # their rows in the whole block; None for all
     feasible: np.ndarray | None  # positions of the feasible ones in perms; None for all
 
-    def gather(self, cells: np.ndarray) -> np.ndarray:
-        """``gather(cells, self.perms)``, bit for bit, via the flat table."""
-        n, d = cells.shape[0], cells.shape[2]
-        flat = _flat_index(n, d)
+    def totals(self, table: np.ndarray, in_order: bool = False) -> np.ndarray:
+        """Per row p of perms, sum over cells k = (i, j) of table[p_i, p_j, k].
+
+        By default the table is folded (``_fold``) and read through
+        ``_offsets``; the sums may then run in any order, which is exact for
+        integer-valued tables.  ``in_order`` reads each row's n*n entries
+        and adds them one at a time in cell order, as Python's ``sum`` of
+        floats does.
+        """
+        n = len(self.sigma)
+        if in_order:
+            p = self.perms
+            cell = np.arange(n * n).reshape(n, n)
+            entries = table[p[:, :, None], p[:, None, :], cell].reshape(len(p), n * n)
+            total = np.zeros(len(p))
+            for k in range(n * n):
+                total += entries[:, k]
+            return total
+        const, pairs = _fold(table[np.ix_(self.sigma, self.sigma)])
+        offsets = _offsets(min(n, _FREE))
         if self.rows is not None:
-            flat = flat[self.rows]
-        src = cells[np.ix_(self.sigma, self.sigma)].reshape(-1)
-        return src[flat].reshape(len(flat), n, n, d)
+            offsets = offsets[:, self.rows]
+        return const + pairs.reshape(-1)[offsets].sum(axis=0)
+
+    def gather(self, cells: np.ndarray, which: np.ndarray | None = None) -> np.ndarray:
+        """``gather(cells, self.perms[which])`` (of every row of perms by default)."""
+        p = self.perms if which is None else self.perms[which]
+        return cells[p[:, :, None], p[:, None, :]]
 
     def keep(self, values: np.ndarray) -> np.ndarray:
         """The entries of a per-row array that belong to feasible rows."""
@@ -242,11 +321,11 @@ def _blocks(
 
     ``feasible`` maps a block to a boolean row mask, and blocks with no
     feasible row are skipped.  A block that keeps at most half its rows
-    gathers only those; one that keeps more gathers every row (copying the
+    scores only those; one that keeps more scores every row (copying the
     feasible part of the index table would cost more than the rows it
     saves), and consumers pass its per-row results through ``keep``.
-    Callers gather each block while they score it, so one gathered block is
-    alive at a time.
+    Callers score each block as it comes, so one block's entries are alive
+    at a time.
     """
     for _, block in iter_permutation_blocks(n):
         rows = None if feasible is None else np.flatnonzero(feasible(block))
@@ -281,22 +360,34 @@ def _permutation(row: np.ndarray) -> Permutation:
     return Permutation(tuple(int(v) for v in row))
 
 
-def _fixing(x: GraphMatrix, block: _Block) -> np.ndarray:
-    return np.all(block.gather(x.cells) == x.cells, axis=(1, 2, 3))
+def _fixing(x: GraphMatrix, block: _Block, equal: np.ndarray) -> np.ndarray:
+    """Row mask of the permutations that fix x: all n*n cells stay equal."""
+    return block.totals(equal) == x.n * x.n
+
+
+def _equal_table(x: GraphMatrix) -> np.ndarray:
+    """Cell-pair table of x against itself: 1 where two cells are equal."""
+    c = x.cells.reshape(x.n * x.n, x.dim)
+    eq = np.all(c[:, None, :] == c[None, :, :], axis=-1)
+    return eq.astype(np.float64).reshape(x.n, x.n, x.n * x.n)
 
 
 def isotropy_group(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> tuple[Permutation, ...]:
     """All permutations fixing x exactly; always contains the identity."""
     check_order_guard(x.n, guard)
+    equal = _equal_table(x)
     return tuple(
-        _permutation(p) for block in _blocks(x.n) for p in block.perms[_fixing(x, block)]
+        _permutation(p) for block in _blocks(x.n) for p in block.perms[_fixing(x, block, equal)]
     )
 
 
 def is_ordinary(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> bool:
     """True iff only the identity fixes x (trivial isotropy group)."""
     check_order_guard(x.n, guard)
-    return not any(block.keep(_fixing(x, block)).any() for block in _blocks(x.n, non_identity))
+    equal = _equal_table(x)
+    return not any(
+        block.keep(_fixing(x, block, equal)).any() for block in _blocks(x.n, non_identity)
+    )
 
 
 class Witnessed(NamedTuple):
@@ -307,26 +398,94 @@ class Witnessed(NamedTuple):
 
 
 def optimum(
-    cells: np.ndarray,
-    score: Callable[[np.ndarray], np.ndarray],
+    table: np.ndarray,
     maximize: bool = False,
     feasible: Callable[[np.ndarray], np.ndarray] | None = None,
+    in_order: bool = False,
 ) -> Witnessed:
-    """Best score over the feasible permutations p, and the first p reaching it.
+    """Best total over the feasible permutations p, and the first p reaching it.
 
-    ``score`` maps a gathered block (rows cells[ix_(p, p)]) to one value per
-    row.  It may also see the infeasible rows of a mostly feasible block;
-    their values are ignored.  Ties break toward the lexicographically
-    smallest permutation.  The witness is None only when no permutation is
-    feasible; the value is then -inf when maximizing and inf when minimizing.
+    ``table`` is an (n, n, n*n) cell-pair table; the total of p is the sum
+    over cells k = (i, j) of table[p_i, p_j, k] (see ``_Block.totals`` for
+    ``in_order``).  Ties break toward the lexicographically smallest
+    permutation.  The witness is None only when no permutation is feasible;
+    the value is then -inf when maximizing and inf when minimizing.
     """
     pick = np.argmax if maximize else np.argmin
     best, witness = (-math.inf if maximize else math.inf), None
-    for block in _blocks(cells.shape[0], feasible):
-        vals = block.keep(score(block.gather(cells)))
+    for block in _blocks(table.shape[0], feasible):
+        vals = block.keep(block.totals(table, in_order))
         i = int(pick(vals))
         if witness is None or (vals[i] > best if maximize else vals[i] < best):
             best, witness = float(vals[i]), _permutation(block.keep(block.perms)[i])
+    return Witnessed(best, witness)
+
+
+def _integral(x: np.ndarray, y: np.ndarray) -> bool:
+    """True when x and y hold integers with N (max|x| + max|y|)^2 < 2^53:
+    then every sum of products or squared differences of their cells, in
+    any order, is exact."""
+    s = float(np.abs(x).max(initial=0.0) + np.abs(y).max(initial=0.0))
+    if not s < 2.0**27:  # bounds s before squaring; false for inf and nan
+        return False
+    if not (np.array_equal(x, np.trunc(x)) and np.array_equal(y, np.trunc(y))):
+        return False
+    return x.size * int(s) ** 2 < 2**53
+
+
+def _ranked_blocks(
+    x: np.ndarray, y: np.ndarray, feasible: Callable[[np.ndarray], np.ndarray] | None
+) -> Iterator[tuple[_Block, np.ndarray | None, np.ndarray | None]]:
+    """Yield (block, ip, short) for a scan of the inner products <g, y>, g
+    running over the rows x[ix_(p, p)].
+
+    ip holds the table inner products of the block's feasible rows.  short
+    is None when they are exact (``_integral``).  Otherwise it holds the
+    positions in block.perms of the rows a reference form must re-score:
+    those within eps of the block's largest ip (see ``min_sq_over_group``),
+    or every feasible row, with ip None, when the bound does not apply.
+    """
+    exact = _integral(x, y)
+    r = math.sqrt(np.einsum("ijc,ijc->", x, x)) + math.sqrt(np.einsum("ijc,ijc->", y, y))
+    terms = y.size + 3
+    eps = 4.0 * terms * 2.0**-53 * r * r + terms * 2.0**-1070
+    ranked = exact or math.isfinite(4.0 * r * r)
+    if ranked:
+        n, d = x.shape[0], x.shape[2]
+        pairs = np.einsum("ac,kc->ak", x.reshape(n * n, d), y.reshape(n * n, d))
+        table = pairs.reshape(n, n, n * n)
+    for block in _blocks(x.shape[0], feasible):
+        kept = block.keep(np.arange(len(block.perms)))
+        if not ranked:
+            yield block, None, kept
+            continue
+        ip = block.keep(block.totals(table))
+        yield block, ip, None if exact else kept[ip >= ip.max() - eps]
+
+
+def max_inner_over_group(
+    x: np.ndarray,
+    y: np.ndarray,
+    feasible: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> Witnessed:
+    """max over permutations p of <x[ix_(p,p)], y>, with the first maximizer.
+
+    The dot edit kernel.  Values and witnesses are those of scoring every
+    feasible row g in the reference form ``einsum("mijc,ijc->m", g, y)``;
+    that form decides among the rows the table ranks near each block's best
+    (``_ranked_blocks``; the bound is derived in ``min_sq_over_group``).
+    Without a feasible permutation the value is -inf and the witness None.
+    """
+    best, witness = -math.inf, None
+    for block, ip, short in _ranked_blocks(x, y, feasible):
+        if short is None:
+            vals, perms = ip, block.keep(block.perms)
+        else:
+            vals = np.einsum("mijc,ijc->m", block.gather(x, short), y)
+            perms = block.perms[short]
+        i = int(np.argmax(vals))
+        if witness is None or vals[i] > best:
+            best, witness = float(vals[i]), _permutation(perms[i])
     return Witnessed(best, witness)
 
 
@@ -344,43 +503,48 @@ def min_sq_over_group(
     Values and witnesses are those of scoring every feasible row g in the
     diff form fl(sum (g - y)^2); that form alone is evaluated on the rows
     that can win, which keeps exact zeros for isomorphic pairs.  Each block
-    is first ranked by the inner products fl(<g, y>), and only the rows
+    is first ranked by its table inner products <g, y>, and only the rows
     within eps of the block's largest one are re-scored.  With u = 2^-53,
     N = n*n*d cells, gamma_k = k*u / (1 - k*u) and R = ||x|| + ||y||
     (every row has ||g|| = ||x||, and ||g - y||^2 = ||x||^2 + ||y||^2 -
     2<g, y> exactly):
 
-    * any summation order gives |fl(<g, y>) - <g, y>| <= gamma_N ||x|| ||y||
-      <= gamma_N R^2 / 4;
+    * a row total adds the N products of its cells once each, through the
+      table, the fold and the row sum in some order, so each product
+      carries at most N roundings (one for the product, N - 1 additions):
+      |fl(<g, y>) - <g, y>| <= gamma_N ||x|| ||y|| <= gamma_N R^2 / 4; the
+      reference dot ``einsum`` obeys the same bound;
     * each term of the diff form carries at most N + 2 roundings, so
       |fl(||g - y||^2) - ||g - y||^2| <= gamma_(N+2) R^2.
 
     If row g scores no worse than the block's top-ranked row h in the diff
     form, then <h, y> - <g, y> <= gamma_(N+2) R^2 and hence
-    fl(<h, y>) - fl(<g, y>) <= 1.5 gamma_(N+2) R^2.  So every row that
-    can be a block's first diff-form minimum lies within
+    fl(<h, y>) - fl(<g, y>) <= 1.5 gamma_(N+2) R^2; if g scores no worse
+    than h in the reference dot of ``max_inner_over_group``, the gap is at
+    most gamma_N R^2.  So
+    every row that can be a block's first optimum lies within
     eps = 4 (N + 3) u R^2 of the block's best inner product; the factor 4
     over 1.5 absorbs the rounding of eps itself, of the norms, and of the
     subtraction.  The term (N + 3) 2^-1070 covers products that underflow.
     The bounds assume that no sum overflows, which holds while 4 R^2 is
     finite; beyond that (or with non-finite attributes) every row is
-    re-scored.  Re-scoring runs _RESCORE rows at a time, so a block of ties
-    allocates no second full block.
+    re-scored.  When ``_integral`` certifies x and y, the inner products
+    and ||x||^2 + ||y||^2 - 2<g, y> are exact, equal to the diff form, and
+    no row is re-scored.  Re-scoring runs _RESCORE rows at a time, so a
+    block of ties gathers no full block.
     """
-    r = math.sqrt(np.einsum("ijc,ijc->", x, x)) + math.sqrt(np.einsum("ijc,ijc->", y, y))
-    terms = y.size + 3
-    eps = 4.0 * terms * 2.0**-53 * r * r + terms * 2.0**-1070
-    shortlist = math.isfinite(4.0 * r * r)
+    sq = float(np.einsum("ijc,ijc->", x, x) + np.einsum("ijc,ijc->", y, y))
     best, witness = math.inf, None
-    for block in _blocks(x.shape[0], feasible):
-        g = block.gather(x)
-        short = block.keep(np.arange(len(g)))
-        if shortlist:
-            ip = block.keep(np.einsum("mijc,ijc->m", g, y))
-            short = short[ip >= ip.max() - eps]
+    for block, ip, short in _ranked_blocks(x, y, feasible):
+        if short is None:
+            i = int(np.argmax(ip))
+            value = sq - 2.0 * float(ip[i])
+            if witness is None or value < best:
+                best, witness = value, _permutation(block.keep(block.perms)[i])
+            continue
         for start in range(0, len(short), _RESCORE):
             chunk = short[start : start + _RESCORE]
-            diff = g[chunk] - y
+            diff = block.gather(x, chunk) - y
             vals = np.einsum("mijc,mijc->m", diff, diff)
             i = int(np.argmin(vals))
             if witness is None or vals[i] < best:

@@ -233,3 +233,28 @@ def test_gram_distance_honours_pad_and_class_like_dist(graph_files):
         entry = float(gram.stdout.splitlines()[1].split(",")[1])
         assert entry == pytest.approx(expected, abs=1e-10)
         assert float(dist.stdout) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_gram_scans_each_unordered_pair_once(graph_files, count):
+    from graphspace import edit_kernel, induced_metric, load_graph
+
+    tmp, write = graph_files
+    rng = np.random.default_rng(31 + count)
+    paths = [write(f"g{k}.json", serialize_graph(random_graph(rng, int(rng.integers(2, 5)), 2)))
+             for k in range(count)]
+    graphs = [load_graph(p) for p in paths]
+    order = max(g.order for g in graphs)
+    for kind in ("kernel", "distance"):
+        res = run_cli("gram", str(tmp), "--kind", kind)
+        assert res.returncode == 0
+        rows = [line.split(",") for line in res.stdout.splitlines()[1:]]
+        assert all(rows[i][j] == rows[j][i] for i in range(count) for j in range(count))
+        for i in range(count):
+            if kind == "distance":
+                assert rows[i][i] == f"{0.0:.12g}"
+            for j in range(i if kind == "kernel" else i + 1, count):
+                x, y = graphs[i], graphs[j]
+                want = (edit_kernel(x, y, order=order).value if kind == "kernel"
+                        else induced_metric(x, y, order=order))
+                assert rows[i][j] == f"{want:.12g}"

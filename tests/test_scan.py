@@ -12,6 +12,8 @@ bit with the diff form evaluated on every row.
 
 import itertools
 import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphspace
-from graphspace import orbits
+from graphspace import kernels, orbits
 from graphspace import (
     DELTA,
     DOT,
@@ -271,7 +273,7 @@ def test_order_nine_scan_builds_no_table_beyond_seven(monkeypatch):
 
     monkeypatch.setattr(orbits, "permutation_array", counting)
     orbits._base.cache_clear()
-    orbits._flat_index.cache_clear()
+    orbits._offsets.cache_clear()
     try:
         x, y = unit_cycle(9), unit_path(9)
         quotient_distance(to_matrix(x), to_matrix(y))
@@ -279,7 +281,7 @@ def test_order_nine_scan_builds_no_table_beyond_seven(monkeypatch):
         assert not is_ordinary(to_matrix(x))
     finally:
         orbits._base.cache_clear()
-        orbits._flat_index.cache_clear()
+        orbits._offsets.cache_clear()
     assert orders and max(orders) <= 7
 
 
@@ -344,3 +346,166 @@ def test_rho_star_matches_diff_form_bit_for_bit(n, d, seed, kind, scale):
             Alignment(center).rho_star
         return
     assert Alignment(center).rho_star.hex() == (0.25 * math.sqrt(sq)).hex()
+
+
+# ------------------------------------------------------------ cell-pair tables
+
+
+def _ref_totals(kind, g, x, y):
+    """Per-row totals of a gathered block g from the score definitions."""
+    if kind == "delta":
+        same = np.all(g == y, axis=-1) & np.any(y != 0.0, axis=-1)
+        return same.sum(axis=(1, 2)).astype(float)
+    if kind == "cost-delta":
+        nn_g, nn_y = np.any(g != 0.0, axis=-1), np.any(y != 0.0, axis=-1)
+        eq = np.all(g == y, axis=-1)
+        return (nn_g.astype(int) + nn_y - 2 * (eq & nn_y)).sum(axis=(1, 2)).astype(float)
+    if kind == "uniform":
+        return (~np.all(g == y, axis=-1)).sum(axis=(1, 2)).astype(float)
+    if kind == "equality":
+        return np.all(g == x, axis=-1).sum(axis=(1, 2)).astype(float)
+    raise ValueError(kind)
+
+
+def _table(kind, x, y):
+    if kind == "equality":
+        return orbits._equal_table(GraphMatrix(x))
+    return kernels._score_table(x, y, kind)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_table_totals_equal_reference_totals(n):
+    rng = np.random.default_rng(100 + n)
+    d = 1 + n % 2
+    x = rng.integers(0, 3, size=(n, n, d)).astype(float)
+    y = rng.integers(0, 3, size=(n, n, d)).astype(float)
+    y[0] = 0.0  # null cells
+    cost = EditCost.custom(_cells_cost)
+    custom = kernels._cost_table(x, y, cost)
+    dense = lambda block: np.arange(len(block)) % 3 != 1  # noqa: E731
+    sparse = lambda block: np.arange(len(block)) % 3 == 1  # noqa: E731
+    for feasible in (None, dense, sparse):
+        for block in orbits._blocks(n, feasible):
+            g = orbits.gather(x, block.perms)
+            for kind in ("delta", "cost-delta", "uniform", "equality"):
+                got = block.totals(_table(kind, x, y))
+                assert np.array_equal(got, _ref_totals(kind, g, x, y)), kind
+            sample = np.arange(0, len(block.perms), 53)
+            ref = [sum(cost(tuple(row[k, l]), tuple(y[k, l])) for k in range(n) for l in range(n))
+                   for row in g[sample]]
+            got = block.totals(custom, in_order=True)[sample]
+            assert [v.hex() for v in got] == [v.hex() for v in ref]
+
+
+def test_custom_cost_is_called_once_per_cell_pair():
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return _cells_cost(a, b)
+
+    rng = np.random.default_rng(7)
+    x = random_graph(rng, 5, 2, attrs="int")
+    y = random_graph(rng, 3, 2, attrs="int")
+    for morphisms in ("all", "compact"):
+        calls.clear()
+        res = general_ged(x, y, EditCost.custom(counting), morphisms, order=5)
+        assert 0 < len(calls) <= 5**4
+        xm, ym = matrices(x, y, 5)
+        feasible = compact(x.order, y.order) if morphisms == "compact" else None
+        assert (res.value, res.witness.images) == ref_optimum(5, custom_score(xm, ym), False, feasible)
+
+
+def test_only_orbits_and_bruteforce_enumerate_permutations():
+    # A scan that builds a list of all n! permutations would hold them all in
+    # memory at once; permutations come from orbits' block generators.
+    src = Path(graphspace.__file__).parent
+    named = re.compile(r"itertools\.permutations|from itertools import[^\n]*\bpermutations\b")
+    users = {f.name for f in src.glob("*.py") if named.search(f.read_text(encoding="utf-8"))}
+    assert users <= {"orbits.py", "bruteforce.py"} and "orbits.py" in users
+
+
+def test_subperm_metric_streams_its_partial_permutations():
+    rng = np.random.default_rng(9)
+    x, y = random_graph(rng, 9, 1), random_graph(rng, 9, 1)
+    tracemalloc.start()
+    try:
+        graphspace.subperm_metric(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    small, big = random_graph(rng, 3, 1), random_graph(rng, 5, 1)
+    a, b = to_matrix(big).cells[:, :, 0], to_matrix(small).cells[:, :, 0]
+    best = min(
+        float(np.sum(a**2) - np.sum(a[np.ix_(q, q)] ** 2) + np.sum((a[np.ix_(q, q)] - b) ** 2))
+        for q in map(list, itertools.permutations(range(5), 3))
+    )
+    assert math.isclose(graphspace.subperm_metric(big, small), math.sqrt(max(best, 0.0)),
+                        rel_tol=1e-12)
+
+
+# -------------------------------------- the integer certificate and its boundary
+
+
+def dot_form(x, y):
+    """The reference dot evaluated on every row, as a scan of all rows would."""
+    return lambda p: np.einsum("mijc,ijc->m", permuted(x, p), y)
+
+
+def _boundary_cells(rng, n, d, kind):
+    """Integer cells at the edge of the exactness certificate
+    N (max|x| + max|y|)^2 < 2^53, with max|x| = max|y| = m: the largest m
+    under the limit, one more, or twice it, where sums of squares round."""
+    m = math.isqrt((2**53 - 1) // (4 * n * n * d))
+    if kind == "huge":  # nonnegative, so products overflow to +inf, never to nan
+        x = rng.integers(0, 3, size=(n, n, d)) * 1e160
+    else:
+        m = {"over": m + 1, "twice": 2 * m}.get(kind, m)
+        x = rng.integers(-m, m + 1, size=(n, n, d)).astype(float)
+        x.flat[rng.integers(x.size)] = m
+    p = rng.permutation(n)
+    y = x[np.ix_(p, p)].copy()  # a relabelled copy, nudged: near-ties
+    y.flat[rng.integers(y.size)] = -x.max() if kind != "huge" else 0.0
+    if kind == "half":
+        x.flat[rng.integers(x.size)] += 0.5
+    return x, y
+
+
+BOUNDARY = dict(
+    n=st.integers(2, 7),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["under", "over", "twice", "half", "huge"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**BOUNDARY)
+def test_dot_kernel_and_metric_match_reference_at_the_certificate_boundary(n, d, seed, kind):
+    rng = np.random.default_rng(seed)
+    x, y = _boundary_cells(rng, n, d, kind)
+    rx, ry = int(rng.integers(1, n + 1)), n
+    xg = from_matrix(GraphMatrix(x[:rx, :rx]), directed=True)
+    yg = from_matrix(GraphMatrix(y), directed=True)
+    xm, ym = matrices(xg, yg, n)
+    for morphisms, feasible in (("all", None), ("compact", compact(rx, ry))):
+        res = edit_kernel(xg, yg, DOT, morphisms, order=n)
+        ref = ref_optimum(n, dot_form(xm, ym), True, feasible)
+        assert _bits(res.value, res.witness.images) == _bits(*ref), morphisms
+    res = orbits.min_sq_over_group(xm, ym)
+    assert _bits(res.value, res.witness.images) == _bits(*ref_optimum(n, diff_form(xm, ym)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**BOUNDARY)
+def test_domain_margin_matches_reference_at_the_certificate_boundary(n, d, seed, kind):
+    rng = np.random.default_rng(seed)
+    x, z = _boundary_cells(rng, n, d, kind)
+    center = from_matrix(GraphMatrix(z), directed=True)
+    if not is_ordinary(to_matrix(center)):
+        return
+    not_identity = lambda p: np.any(p != np.arange(n), axis=1)  # noqa: E731
+    rest, _ = ref_optimum(n, dot_form(x, z), True, not_identity)
+    margin = Alignment(center).domain_margin(GraphMatrix(x))
+    assert margin.hex() == (GraphMatrix(x).inner(GraphMatrix(z)) - rest).hex()
