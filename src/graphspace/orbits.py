@@ -46,8 +46,10 @@ The scan is memory-bounded and never materialises the whole group:
 * Exact totals.  Scores with integer values per cell (the delta kernel and
   cost, the uniform cost, the cell-equality count behind ``isotropy_group``)
   total exactly in any order, so their folded totals are the reference
-  totals.  A custom cost's totals add each row's n*n entries one at a time
-  in cell order instead, as Python's ``sum`` of floats does (before 3.12).
+  totals.  A custom cost's values are arbitrary floats, whose sum depends
+  on the order of its additions, so its totals add each row's n*n entries
+  one at a time, left to right in cell order; that is the order in which
+  Python's ``sum`` adds floats up to 3.11 (3.12's ``sum`` compensates).
 * Inner products.  When x and y hold integers with
   N (max|x| + max|y|)^2 < 2^53 (N = n*n*d), every sum over their cells is
   exact and the table inner products are the reference values.  Otherwise
@@ -286,8 +288,8 @@ class _Block(NamedTuple):
         By default the table is folded (``_fold``) and read through
         ``_offsets``; the sums may then run in any order, which is exact for
         integer-valued tables.  ``in_order`` reads each row's n*n entries
-        and adds them one at a time in cell order, as Python's ``sum`` of
-        floats does.
+        and adds them one at a time, left to right in cell order, the one
+        order that defines a total of arbitrary floats here.
         """
         n = len(self.sigma)
         if in_order:
@@ -305,7 +307,12 @@ class _Block(NamedTuple):
         return const + pairs.reshape(-1)[offsets].sum(axis=0)
 
     def gather(self, cells: np.ndarray, which: np.ndarray | None = None) -> np.ndarray:
-        """``gather(cells, self.perms[which])`` (of every row of perms by default)."""
+        """``gather(cells, self.perms[which])`` (of every row of perms by default).
+
+        The same expression as ``gather``, kept private so that per-layer
+        traces, which wrap the public functions, count only reference
+        gathers and not the rows an engine scan re-scores.
+        """
         p = self.perms if which is None else self.perms[which]
         return cells[p[:, :, None], p[:, None, :]]
 

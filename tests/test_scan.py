@@ -254,13 +254,26 @@ def test_blocks_concatenate_to_the_lex_ordered_group(n):
 
 @pytest.mark.parametrize("n, d", [(0, 1), (1, 2), (5, 3), (8, 2), (9, 1)])
 def test_flat_gather_equals_reference_gather(n, d):
+    # The rows a masked scan gathers, picked by their flat positions in the
+    # lex-ordered group, are the reference gathers of those permutations.
     cells = np.random.default_rng(n).normal(size=(n, n, d))
+    group = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    group = group.reshape(math.factorial(n), n)
     dense = lambda block: np.arange(len(block)) % 3 != 1  # noqa: E731
     sparse = lambda block: np.arange(len(block)) % 3 == 1  # noqa: E731
     for feasible in (None, dense, sparse):
+        flat = np.arange(len(group))
+        if feasible is not None:
+            mask = np.concatenate([feasible(b) for _, b in orbits.iter_permutation_blocks(n)])
+            flat = flat[mask]
+        start = 0
         for block in orbits._blocks(n, feasible):
-            got, ref = block.gather(cells), orbits.gather(cells, block.perms)
-            assert got.flags.c_contiguous and np.array_equal(got, ref)
+            kept = block.keep(np.arange(len(block.perms)))
+            rows = flat[start : start + len(kept)]
+            ref = orbits.gather(cells, group[rows[::7]])
+            assert np.array_equal(block.gather(cells, kept[::7]), ref)
+            start += len(kept)
+        assert start == len(flat)
 
 
 def test_order_nine_scan_builds_no_table_beyond_seven(monkeypatch):
@@ -414,6 +427,40 @@ def test_custom_cost_is_called_once_per_cell_pair():
         xm, ym = matrices(x, y, 5)
         feasible = compact(x.order, y.order) if morphisms == "compact" else None
         assert (res.value, res.witness.images) == ref_optimum(5, custom_score(xm, ym), False, feasible)
+
+
+def _tenth_cost(a, b):
+    return 0.1 * abs(a[0] - b[0])
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_custom_cost_totals_add_cells_left_to_right(n):
+    # 0.1 |a - b| on Gaussian attributes is no multiple of a power of two, so
+    # a total added up in any other order differs in its last bits.
+    rng = np.random.default_rng(200 + n)
+    x, y = random_graph(rng, n, 1), random_graph(rng, n - 1, 1)
+    xm, ym = matrices(x, y, n)
+    cost = EditCost.custom(_tenth_cost)
+
+    def left_to_right(p):
+        total = np.zeros(len(p))
+        for k in range(n):
+            for l in range(n):
+                total += 0.1 * np.abs(xm[p[:, k], p[:, l], 0] - ym[k, l, 0])
+        return total
+
+    for morphisms, feasible in (("all", None), ("compact", compact(x.order, y.order))):
+        res = general_ged(x, y, cost, morphisms, order=n)
+        ref = ref_optimum(n, left_to_right, False, feasible)
+        assert _bits(res.value, res.witness.images) == _bits(*ref), morphisms
+    perm = graphspace.Permutation(tuple(int(v) for v in rng.permutation(n)))
+    q = np.argsort(perm.images)  # (perm y)[a, b] = y[q_a, q_b]
+    total = 0.0
+    for a in range(n):
+        for b in range(n):
+            total += 0.1 * abs(xm[a, b, 0] - ym[q[a], q[b], 0])
+    got = graphspace.transformation_cost(GraphMatrix(xm), GraphMatrix(ym), perm, cost)
+    assert got.hex() == total.hex()
 
 
 def test_only_orbits_and_bruteforce_enumerate_permutations():
