@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .alignment import Alignment
@@ -199,22 +198,19 @@ def cmd_gram(args, guard: int) -> int:
         check_order_guard(pad_pair(g, g, args.pad, order)[2], guard)
     score = _SCORES[args.score]
     k = len(graphs)
-
-    def entry(pair):
-        x, y = graphs[pair[0]], graphs[pair[1]]
-        if args.kind == "kernel":
-            return edit_kernel(x, y, score, args.morphisms, args.pad, order, guard).value
-        return induced_metric(x, y, score, args.pad, order, guard, args.morphisms)
-
     # Both kinds are symmetric: scan each unordered pair once.  The kernel
     # diagonal is scanned, since the self-kernel's maximum can round above
     # the identity's score; a distance diagonal is 0.0, the identity's
     # diff form.
     first = 0 if args.kind == "kernel" else 1
-    pairs = [(i, j) for i in range(k) for j in range(i + first, k)]
     matrix = [[0.0] * k for _ in range(k)]
-    with ThreadPoolExecutor(max_workers=min(4, max(1, len(pairs)))) as pool:
-        for (i, j), value in zip(pairs, pool.map(entry, pairs)):
+    for i in range(k):
+        for j in range(i + first, k):
+            x, y = graphs[i], graphs[j]
+            if args.kind == "kernel":
+                value = edit_kernel(x, y, score, args.morphisms, args.pad, order, guard).value
+            else:
+                value = induced_metric(x, y, score, args.pad, order, guard, args.morphisms)
             matrix[i][j] = matrix[j][i] = value
     if args.kind == "distance":
         _validate_distance_matrix(matrix, _TOL if args.tol is None else args.tol)

@@ -157,17 +157,26 @@ def _cost_table(x: np.ndarray, y: np.ndarray, cost: EditCost) -> np.ndarray:
 def _compact_mask(block: np.ndarray, rx: int, ry: int) -> np.ndarray:
     # The induced node map sends real x-node p[k] to y-node k; compactness
     # pins the smaller graph's real nodes onto the larger graph's real nodes.
+    keep = np.ones(len(block), dtype=bool)
     if rx <= ry:
-        tail = block[:, ry:]
-        return ~np.any(tail < rx, axis=1) if tail.shape[1] else np.ones(len(block), bool)
-    return np.all(block[:, :ry] < rx, axis=1)
+        for images in block.T[ry:]:  # column by column: fast for few columns
+            keep &= images >= rx
+    else:
+        for images in block.T[:ry]:
+            keep &= images < rx
+    return keep
 
 
-def _feasible(x: AttributedGraph, y: AttributedGraph, morphisms: str):
-    """Row mask of the bijection class, or None for the full group."""
+def _check_morphisms(morphisms: str) -> None:
     if morphisms not in MORPHISM_CLASSES:
         raise ValueError(f"unknown morphism class {morphisms!r}")
-    if morphisms == "all":
+
+
+def _feasible(x: AttributedGraph, y: AttributedGraph, morphisms: str, n: int):
+    """Row mask of the bijection class at padded order n, or None when it is
+    the full group: always for "all", and for "compact" when the larger
+    graph has no padding to route a real node through."""
+    if morphisms == "all" or max(x.order, y.order) == n:
         return None
     return lambda block: _compact_mask(block, x.order, y.order)
 
@@ -228,8 +237,9 @@ def edit_kernel(
     mapping the smaller graph's real nodes onto real nodes.  The witness is
     the lexicographically smallest maximizer.
     """
-    feasible = _feasible(x, y, morphisms)
+    _check_morphisms(morphisms)
     xm, ym = _prepare(x, y, padding, order, guard)
+    feasible = _feasible(x, y, morphisms, xm.n)
     if score.kind == "dot":
         return max_inner_over_group(xm.cells, ym.cells, feasible)
     table = _score_table(xm.cells, ym.cells, score.kind)
@@ -252,8 +262,9 @@ def general_ged(
     called once per pair of cells (n**4 calls) and each total adds its cells
     in (k, l) order, as ``transformation_cost`` does.
     """
-    feasible = _feasible(x, y, morphisms)
+    _check_morphisms(morphisms)
     xm, ym = _prepare(x, y, padding, order, guard)
+    feasible = _feasible(x, y, morphisms, xm.n)
     if cost.kind == "kernel-dot":
         return min_sq_over_group(xm.cells, ym.cells, feasible)
     if cost.kind == "custom":

@@ -8,17 +8,18 @@ metric everything else in this package is built on.
 
 This module is the one place where permutations are enumerated (the
 independent oracles in ``bruteforce`` aside; ``_partial_permutations``
-streams the partial ones of ``kernels.subperm_metric``).  ``_blocks`` walks
-the group block by block (``iter_permutation_blocks``).  Every score in
-this package is a sum over cells, sum over (i, j) of s(x[p_i, p_j], y[i, j]):
-Lawler's form of the quadratic assignment problem.  So a scan first
-tabulates s for every pair of a source cell of x and a target cell of y, an
-(n, n, n*n) cell-pair table with table[a, b, i*n + j] = s(x[a, b], y[i, j]),
-and totals each permutation from that table instead of gathering its n*n*d
-attribute cells.  ``optimum`` keeps the best total; ``max_inner_over_group``
-and ``min_sq_over_group`` rank by the table of inner products and decide in
-the reference forms.  Orbits, isotropy groups, kernels, metrics, alignments
-and means are all scans of this engine.
+streams the partial ones of ``kernels.subperm_metric``).  ``_chunks`` walks
+the group a few blocks at a time (``iter_permutation_blocks``).  Every score
+in this package is a sum over cells, sum over (i, j) of
+s(x[p_i, p_j], y[i, j]): Lawler's form of the quadratic assignment problem.
+So a scan first tabulates s for every pair of a source cell of x and a
+target cell of y, an (n, n, n*n) cell-pair table with
+table[a, b, i*n + j] = s(x[a, b], y[i, j]), and totals each permutation from
+that table instead of gathering its n*n*d attribute cells.  ``optimum``
+keeps the best total; ``max_inner_over_group`` and ``min_sq_over_group``
+rank by the table of inner products and decide in the reference forms.
+Orbits, isotropy groups, kernels, metrics, alignments and means are all
+scans of this engine.
 
 The scan is memory-bounded and never materialises the whole group:
 
@@ -29,20 +30,33 @@ The scan is memory-bounded and never materialises the whole group:
   order and ``base`` is one cached (m!, n) table: the identity on the prefix
   positions, then every permutation of the last m positions.  Only
   ``permutation_array(m)`` with m <= 7 is ever built.
-* Folded tables.  Because block t is sigma composed with ``base``, a block
-  relabels the table once, ``table[ix_(sigma, sigma)]``, and folds it onto
-  its m free positions (``_fold``): the cells among fixed positions add up
-  to one constant, a cell between a fixed and a free position joins the
-  free diagonal, and cell (i, j) joins cell (j, i).  A row total is then
-  the constant plus m(m+1)/2 entries, 28 instead of n*n = 81 at n = 9.
+* Chunks.  ``iter_permutation_blocks`` yields the sigmas of up to _CHUNK
+  consecutive blocks (24: a third of the 72 blocks at n = 9), streamed from
+  the prefixes, and a scan handles a chunk in a few vectorised passes
+  instead of one Python round per block.  Block rows ``sigma[base]`` are
+  built only where a mask needs them (a chunk's rows at once, in one byte
+  per image), and single rows where a re-score, ``orbit`` or a witness does.
+* Folded tables.  Because block t is sigma composed with ``base``, a chunk
+  relabels the table by all its sigmas at once,
+  ``table[sigmas[:, :, None], sigmas[:, None, :]]``, and folds each copy
+  onto its m free positions (``_fold``, through the cached indices of
+  ``_fold_index``): the cells among fixed positions add up to one constant
+  per block, a cell between a fixed and a free position joins the free
+  diagonal, and cell (i, j) joins cell (j, i).  A row total is then the
+  constant plus m(m+1)/2 entries, 28 instead of n*n = 81 at n = 9.
 * One index table.  The entries are read through one cached
   (m(m+1)/2, m!) table of offsets, ``_offsets(m)``, which depends neither on
-  n beyond m nor on the attribute dimension d (1.1 MB for m = 7).  The rows
-  a scan re-scores, ``orbit`` and the witnesses are gathered from the
-  block's permutations in the reference form.
+  n beyond m nor on the attribute dimension d (1.1 MB for m = 7).  With the
+  folded entries of a chunk laid out as an (m*m*m(m+1)/2, blocks) matrix, a
+  row of offsets reads that entry for every row of every block at once, and
+  the 28 reads are added in order, as a per-block sum over them would; a
+  one-block chunk (every scan at n <= 7) reads all 28 rows in one index.
+  The rows a scan re-scores, ``orbit`` and the witnesses are gathered from
+  the chunk's permutations in the reference form.
 * Memory.  A scan holds its table, n**4 * 8 bytes (52 KB at n = 9), and
-  per block the read entries, 5040 * 28 * 8 bytes (1.1 MB), and one total
-  per row; re-scores gather only the rows they check.
+  per chunk its relabelled tables (1.3 MB at n = 9), the totals of its
+  rows with one read row beside them (2 * 5040 * 24 * 8 bytes, 1.9 MB),
+  and at most _RESCORE re-scored rows; about 5 MB in all, at any order.
 * Exact totals.  Scores with integer values per cell (the delta kernel and
   cost, the uniform cost, the cell-equality count behind ``isotropy_group``)
   total exactly in any order, so their folded totals are the reference
@@ -53,7 +67,7 @@ The scan is memory-bounded and never materialises the whole group:
 * Inner products.  When x and y hold integers with
   N (max|x| + max|y|)^2 < 2^53 (N = n*n*d), every sum over their cells is
   exact and the table inner products are the reference values.  Otherwise
-  they only rank: rows within a forward-error bound of a block's best are
+  they only rank: rows within a forward-error bound of a chunk's best are
   re-scored in the reference form (derivation in ``min_sq_over_group``), so
   values and witnesses are those of a reference scan of every row.
 
@@ -94,8 +108,10 @@ DEFAULT_ORDER_GUARD = 9
 # A block permutes the last _FREE positions: 7! = 5040 rows.
 _FREE = 7
 _BLOCK_ROWS = math.factorial(_FREE)
-# Rows re-scored at once by min_sq_over_group; bounds the extra memory of a
-# block whose rows all tie (a unit star, say).
+# Blocks totalled in one pass; bounds a scan's working memory at any order.
+_CHUNK = 24
+# Rows re-scored at once in a reference form; bounds the extra memory of a
+# chunk whose rows all tie (a unit star, say).
 _RESCORE = 512
 
 
@@ -183,51 +199,87 @@ def _offsets(m: int) -> np.ndarray:
     return offsets
 
 
-def _fold(rel: np.ndarray) -> tuple[float, np.ndarray]:
-    """(const, pairs) of a block's relabelled (n, n, n*n) cell-pair table.
+@lru_cache(maxsize=None)
+def _fold_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(direct, mirror, diagonal, corner) flat indices for ``_fold`` at order n.
 
-    Every row of the block fixes its first k = n - m positions and permutes
-    the last m.  The total of row t is const plus, over the cells (i, j),
-    i <= j, of the m x m free corner, pairs[t_i, t_j, u] with u the cell's
-    position among them: const holds the fixed cells, the cells between a
-    fixed and a free position are added to the free diagonal, and each cell
-    (i, j), i < j, is paired with (j, i).  Each total still adds each of
-    its cell scores once.
+    With m = min(n, 7), k = n - m and the cells (i, j), i <= j, of an m x m
+    matrix numbered u in C order, entry (a, b, u) of the (m, m, m(m+1)/2)
+    pair layout reads cell (k+a, k+b, k+i, k+j) of an (n, n, n, n) table
+    (direct) and its mirror (k+b, k+a, k+j, k+i) (mirror); diagonal holds
+    the entries with i == j, whose mirror is the cell itself, and corner[a,
+    b] the entry (a, a, u) of the diagonal cell (b, b).
     """
-    n = rel.shape[0]
     m = min(n, _FREE)
     k = n - m
-    s = rel.reshape(n, n, n, n)
-    free = s[k:, k:, k:, k:]
-    const = 0.0
-    if k:
-        const = np.einsum("ijij->", s[:k, :k, :k, :k])
-        free = free.copy()
-        a = np.arange(m)
-        free[a[:, None], a[:, None], a[None, :], a[None, :]] += np.einsum(
-            "ibij->bj", s[:k, k:, :k, k:]
-        ) + np.einsum("ajij->ai", s[k:, :k, k:, :k])
     i, j = np.triu_indices(m)
-    mirror = free.transpose(1, 0, 3, 2)[:, :, i, j]
-    mirror[:, :, i == j] = 0.0
-    return const, free[:, :, i, j] + mirror
+    a = np.arange(k, n)[:, None, None]
+    b = np.arange(k, n)[None, :, None]
+    direct = ((a * n + b) * n + i + k) * n + j + k
+    mirror = ((b * n + a) * n + j + k) * n + i + k
+    pairs = len(i)
+    diagonal = np.flatnonzero(np.broadcast_to(i == j, direct.shape))
+    r = np.arange(m)
+    corner = (r * m + r)[:, None] * pairs + np.flatnonzero(i == j)[None, :]
+    index = (direct.reshape(-1), mirror.reshape(-1), diagonal, corner.reshape(-1))
+    for v in index:
+        v.flags.writeable = False
+    return index
 
 
-def iter_permutation_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (offset, block): the permutations of 0..n-1 in lex order, 7! rows
-    at a time (all n! at once for n <= 7).
+def _fold(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(const, pairs) of c blocks' relabelled (c, n, n, n*n) cell-pair tables.
 
-    Block t holds the permutations whose first n - 7 images are the t-th
-    such prefix in lex order.  It is ``sigma[_base(n)]`` with sigma the
-    prefix followed by the remaining nodes in increasing order, so its first
-    row is sigma.
+    Every row of a block fixes its first k = n - m positions and permutes
+    the last m.  The total of row t of block b is const[b] plus, over the
+    cells (i, j), i <= j, of the m x m free corner, pairs[b, (t_i*m + t_j)
+    * m(m+1)/2 + u] with u the cell's position among them: const holds the
+    fixed cells, the cells between a fixed and a free position are added
+    to the free diagonal, and each cell (i, j), i < j, is paired with
+    (j, i).  Each total still adds each of its cell scores once.
     """
-    base = _base(n)
+    c, n = rel.shape[0], rel.shape[1]
+    k = n - min(n, _FREE)
+    direct, mirror, diagonal, corner = _fold_index(n)
+    flat = rel.reshape(c, -1)
+    other = flat[:, mirror]
+    other[:, diagonal] = 0.0
+    pairs = flat[:, direct] + other
+    const = np.zeros(c)
+    if k:
+        s = rel.reshape(c, n, n, n, n)
+        const = np.einsum("cijij->c", s[:, :k, :k, :k, :k])
+        pairs[:, corner] += (
+            np.einsum("cibij->cbj", s[:, :k, k:, :k, k:])
+            + np.einsum("cajij->cai", s[:, k:, :k, k:, :k])
+        ).reshape(c, -1)
+    return const, pairs
+
+
+def iter_permutation_blocks(
+    n: int, blocks: int | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (offset, sigmas): the permutations of 0..n-1 in lex order, as
+    chunks of ``blocks`` (by default _CHUNK) consecutive blocks of 7! rows
+    (one block of all n! for n <= 7).
+
+    Block b of a chunk holds the permutations whose first n - 7 images are
+    one prefix; it is ``sigmas[b][_base(n)]``, with sigmas[b] the prefix
+    followed by the remaining nodes in increasing order, so its first row
+    is sigmas[b].  offset is the position of the chunk's first row in the
+    group.
+    """
     k = max(0, n - _FREE)
-    for t, prefix in enumerate(itertools.permutations(range(n), k)):
-        rest = sorted(set(range(n)).difference(prefix))
-        sigma = np.array(prefix + tuple(rest), dtype=np.intp)
-        yield t * len(base), sigma[base]
+    rows = math.factorial(n - k)
+    prefixes = itertools.permutations(range(n), k)
+    offset = 0
+    while chunk := list(itertools.islice(prefixes, blocks or _CHUNK)):
+        c = len(chunk)
+        head = np.array(chunk, dtype=np.intp).reshape(c, k)
+        rest = np.ones((c, n), dtype=bool)
+        rest[np.arange(c)[:, None], head] = False
+        yield offset, np.concatenate([head, np.nonzero(rest)[1].reshape(c, n - k)], axis=1)
+        offset += c * rows
 
 
 def _partial_permutations(n: int, k: int) -> Iterator[np.ndarray]:
@@ -242,8 +294,9 @@ def gather(cells: np.ndarray, perms: np.ndarray) -> np.ndarray:
 
     Row m equals the matrix of the inverse action of the m-th permutation,
     so {out[m]} ranges over the full orbit of ``cells``.  This is the
-    reference form; engine scans total blocks through ``_Block.totals`` and
-    gather the rows they re-score through ``_Block.gather``.
+    reference form; engine scans total chunks of blocks through
+    ``_Chunk.totals`` and gather the rows they re-score through
+    ``_Chunk.gather``.
     """
     return cells[perms[:, :, None], perms[:, None, :]]
 
@@ -274,79 +327,128 @@ class Orbit:
                    for e in self.elements)
 
 
-class _Block(NamedTuple):
-    """The permutations of one prefix block that a scan scores."""
+class _Chunk(NamedTuple):
+    """Consecutive prefix blocks of one scan, and the rows it scores.
 
-    sigma: np.ndarray  # the block's relabelling: its first permutation
-    perms: np.ndarray  # the permutations scored, one per row, in lex order
-    rows: np.ndarray | None  # their rows in the whole block; None for all
-    feasible: np.ndarray | None  # positions of the feasible ones in perms; None for all
+    Row r of block b is ``sigmas[b][_base(n)[r]]``, at position b * m! + r
+    of the chunk; positions run in lex order.  A scan scores the chunk's
+    feasible rows, numbered 0, 1, ... in lex order.
+    """
+
+    sigmas: np.ndarray  # (blocks, n): each block's relabelling, its first row
+    rows: np.ndarray | None  # positions of the feasible rows; None for all
+
+    @property
+    def count(self) -> int:
+        """The number of feasible rows."""
+        if self.rows is None:
+            return len(self.sigmas) * len(_base(self.sigmas.shape[1]))
+        return len(self.rows)
+
+    def perms(self, which: np.ndarray) -> np.ndarray:
+        """The feasible permutations numbered ``which``, one per row."""
+        base = _base(self.sigmas.shape[1])
+        pos = which if self.rows is None else self.rows[which]
+        b, r = np.divmod(pos, len(base))
+        return self.sigmas[b[:, None], base[r]]
+
+    def permutation(self, i: int) -> Permutation:
+        return _permutation(self.perms(np.array([i]))[0])
 
     def totals(self, table: np.ndarray, in_order: bool = False) -> np.ndarray:
-        """Per row p of perms, sum over cells k = (i, j) of table[p_i, p_j, k].
+        """Per feasible row p, sum over cells k = (i, j) of table[p_i, p_j, k].
 
-        By default the table is folded (``_fold``) and read through
-        ``_offsets``; the sums may then run in any order, which is exact for
+        By default the table is relabelled by every block at once and folded
+        (``_fold``), and a row's total is its block's constant plus its
+        m(m+1)/2 pair entries, read through ``_offsets`` and added in order
+        u = 0, 1, ...; the fold regroups the cell scores, which is exact for
         integer-valued tables.  ``in_order`` reads each row's n*n entries
         and adds them one at a time, left to right in cell order, the one
         order that defines a total of arbitrary floats here.
         """
-        n = len(self.sigma)
+        sig = self.sigmas
+        n = sig.shape[1]
         if in_order:
-            p = self.perms
             cell = np.arange(n * n).reshape(n, n)
-            entries = table[p[:, :, None], p[:, None, :], cell].reshape(len(p), n * n)
-            total = np.zeros(len(p))
-            for k in range(n * n):
-                total += entries[:, k]
-            return total
-        const, pairs = _fold(table[np.ix_(self.sigma, self.sigma)])
+            total = np.zeros((len(sig), len(_base(n))))
+            for t, sigma in zip(total, sig):
+                p = sigma[_base(n)]
+                entries = table[p[:, :, None], p[:, None, :], cell].reshape(len(p), n * n)
+                for k in range(n * n):
+                    t += entries[:, k]
+            total = total.reshape(-1)
+            return total if self.rows is None else total[self.rows]
+        const, pairs = _fold(table[sig[:, :, None], sig[:, None, :]])
         offsets = _offsets(min(n, _FREE))
-        if self.rows is not None:
-            offsets = offsets[:, self.rows]
-        return const + pairs.reshape(-1)[offsets].sum(axis=0)
+        if self.rows is not None and 3 * len(self.rows) <= len(sig) * offsets.shape[1]:
+            # a sparse mask: read only the feasible rows (past a third of
+            # them, reading every row and dropping the rest is faster)
+            b, r = np.divmod(self.rows, offsets.shape[1])
+            flat, start = pairs.reshape(-1), b * pairs.shape[1]
+            total = np.take(flat, offsets[0].take(r) + start, mode="clip")
+            for u in offsets[1:]:
+                total += np.take(flat, u.take(r) + start, mode="clip")
+            return const[b] + total
+        if len(sig) == 1:
+            total = const + pairs.reshape(-1)[offsets].sum(axis=0)
+        else:
+            # one row of entries per pair offset, one column per block
+            by_offset = pairs.T.copy()
+            total = np.take(by_offset, offsets[0], axis=0, mode="clip")
+            entries = np.empty_like(total)
+            for u in offsets[1:]:
+                total += np.take(by_offset, u, axis=0, out=entries, mode="clip")
+            total += const
+            np.copyto(entries.reshape(len(sig), -1), total.T)  # lex order, in the spare buffer
+            total = entries.reshape(-1)
+        return total if self.rows is None else total[self.rows]
 
-    def gather(self, cells: np.ndarray, which: np.ndarray | None = None) -> np.ndarray:
-        """``gather(cells, self.perms[which])`` (of every row of perms by default).
+    def gather(self, cells: np.ndarray, which: np.ndarray) -> np.ndarray:
+        """``gather(cells, self.perms(which))``.
 
         The same expression as ``gather``, kept private so that per-layer
         traces, which wrap the public functions, count only reference
         gathers and not the rows an engine scan re-scores.
         """
-        p = self.perms if which is None else self.perms[which]
+        p = self.perms(which)
         return cells[p[:, :, None], p[:, None, :]]
 
-    def keep(self, values: np.ndarray) -> np.ndarray:
-        """The entries of a per-row array that belong to feasible rows."""
-        return values if self.feasible is None else values[self.feasible]
 
+def _chunks(
+    n: int,
+    feasible: Callable[[np.ndarray], np.ndarray] | None = None,
+    blocks: int | None = None,
+) -> Iterator[_Chunk]:
+    """The one loop over the group: its permutations in lex order, by chunk.
 
-def _blocks(
-    n: int, feasible: Callable[[np.ndarray], np.ndarray] | None = None
-) -> Iterator[_Block]:
-    """The one loop over the group: its permutations in lex order, by block.
-
-    ``feasible`` maps a block to a boolean row mask, and blocks with no
-    feasible row are skipped.  A block that keeps at most half its rows
-    scores only those; one that keeps more scores every row (copying the
-    feasible part of the index table would cost more than the rows it
-    saves), and consumers pass its per-row results through ``keep``.
-    Callers score each block as it comes, so one block's entries are alive
-    at a time.
+    ``feasible`` maps permutations, one per row, to a boolean row mask; it
+    sees a chunk's rows at once, in the narrowest unsigned dtype that holds
+    0..n-1 (1 MB at n = 9).  Blocks with no feasible row are dropped, and so
+    are chunks left empty.  Callers score each chunk as it comes, so one
+    chunk's entries are alive at a time.  ``blocks`` sets the blocks per
+    chunk (see ``iter_permutation_blocks``).
     """
-    for _, block in iter_permutation_blocks(n):
-        rows = None if feasible is None else np.flatnonzero(feasible(block))
-        if rows is None or len(rows) == len(block):
-            yield _Block(block[0], block, None, None)
-        elif 2 * len(rows) > len(block):
-            yield _Block(block[0], block, None, rows)
-        elif len(rows):
-            yield _Block(block[0], block[rows], rows, None)
+    base = _base(n)
+    narrow = np.min_scalar_type(n)
+    for _, sigmas in iter_permutation_blocks(n, blocks):
+        if feasible is None:
+            yield _Chunk(sigmas, None)
+            continue
+        rows = sigmas.astype(narrow)[:, base].reshape(len(sigmas) * len(base), n)
+        mask = feasible(rows).reshape(len(sigmas), -1)
+        live = mask.any(axis=1)
+        if not live.all():
+            sigmas, mask = sigmas[live], mask[live]
+        if len(sigmas):
+            yield _Chunk(sigmas, None if mask.all() else np.flatnonzero(mask))
 
 
 def non_identity(block: np.ndarray) -> np.ndarray:
     """Row mask of the permutations other than the identity."""
-    return np.any(block != np.arange(block.shape[1]), axis=1)
+    moved = np.zeros(len(block), dtype=bool)
+    for i, images in enumerate(block.T):  # column by column: fast for few columns
+        moved |= images != i
+    return moved
 
 
 def orbit(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> Orbit:
@@ -354,12 +456,14 @@ def orbit(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> Orbit:
     check_order_guard(x.n, guard)
     seen: dict[bytes, None] = {}
     elements: list[GraphMatrix] = []
-    for block in _blocks(x.n):
-        for row in block.gather(x.cells):
-            key = row.tobytes()
-            if key not in seen:
-                seen[key] = None
-                elements.append(GraphMatrix(row))
+    for chunk in _chunks(x.n):
+        rows = np.arange(chunk.count)
+        for block in np.split(rows, range(_BLOCK_ROWS, chunk.count, _BLOCK_ROWS)):
+            for row in chunk.gather(x.cells, block):
+                key = row.tobytes()
+                if key not in seen:
+                    seen[key] = None
+                    elements.append(GraphMatrix(row))
     return Orbit(tuple(elements))
 
 
@@ -367,9 +471,9 @@ def _permutation(row: np.ndarray) -> Permutation:
     return Permutation(tuple(int(v) for v in row))
 
 
-def _fixing(x: GraphMatrix, block: _Block, equal: np.ndarray) -> np.ndarray:
-    """Row mask of the permutations that fix x: all n*n cells stay equal."""
-    return block.totals(equal) == x.n * x.n
+def _fixing(x: GraphMatrix, chunk: _Chunk, equal: np.ndarray) -> np.ndarray:
+    """Mask of the feasible rows that fix x: all n*n cells stay equal."""
+    return chunk.totals(equal) == x.n * x.n
 
 
 def _equal_table(x: GraphMatrix) -> np.ndarray:
@@ -384,7 +488,9 @@ def isotropy_group(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> tuple[Pe
     check_order_guard(x.n, guard)
     equal = _equal_table(x)
     return tuple(
-        _permutation(p) for block in _blocks(x.n) for p in block.perms[_fixing(x, block, equal)]
+        _permutation(p)
+        for chunk in _chunks(x.n)
+        for p in chunk.perms(np.flatnonzero(_fixing(x, chunk, equal)))
     )
 
 
@@ -392,9 +498,7 @@ def is_ordinary(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> bool:
     """True iff only the identity fixes x (trivial isotropy group)."""
     check_order_guard(x.n, guard)
     equal = _equal_table(x)
-    return not any(
-        block.keep(_fixing(x, block, equal)).any() for block in _blocks(x.n, non_identity)
-    )
+    return not any(_fixing(x, chunk, equal).any() for chunk in _chunks(x.n, non_identity))
 
 
 class Witnessed(NamedTuple):
@@ -413,18 +517,19 @@ def optimum(
     """Best total over the feasible permutations p, and the first p reaching it.
 
     ``table`` is an (n, n, n*n) cell-pair table; the total of p is the sum
-    over cells k = (i, j) of table[p_i, p_j, k] (see ``_Block.totals`` for
-    ``in_order``).  Ties break toward the lexicographically smallest
-    permutation.  The witness is None only when no permutation is feasible;
-    the value is then -inf when maximizing and inf when minimizing.
+    over cells k = (i, j) of table[p_i, p_j, k] (see ``_Chunk.totals`` for
+    ``in_order``, which keeps one block per chunk).  Ties break toward the
+    lexicographically smallest permutation.  The witness is None only when
+    no permutation is feasible; the value is then -inf when maximizing and
+    inf when minimizing.
     """
     pick = np.argmax if maximize else np.argmin
     best, witness = (-math.inf if maximize else math.inf), None
-    for block in _blocks(table.shape[0], feasible):
-        vals = block.keep(block.totals(table, in_order))
+    for chunk in _chunks(table.shape[0], feasible, 1 if in_order else None):
+        vals = chunk.totals(table, in_order)
         i = int(pick(vals))
         if witness is None or (vals[i] > best if maximize else vals[i] < best):
-            best, witness = float(vals[i]), _permutation(block.keep(block.perms)[i])
+            best, witness = float(vals[i]), chunk.permutation(i)
     return Witnessed(best, witness)
 
 
@@ -440,17 +545,18 @@ def _integral(x: np.ndarray, y: np.ndarray) -> bool:
     return x.size * int(s) ** 2 < 2**53
 
 
-def _ranked_blocks(
+def _ranked_chunks(
     x: np.ndarray, y: np.ndarray, feasible: Callable[[np.ndarray], np.ndarray] | None
-) -> Iterator[tuple[_Block, np.ndarray | None, np.ndarray | None]]:
-    """Yield (block, ip, short) for a scan of the inner products <g, y>, g
+) -> Iterator[tuple[_Chunk, np.ndarray | None, np.ndarray | None]]:
+    """Yield (chunk, ip, short) for a scan of the inner products <g, y>, g
     running over the rows x[ix_(p, p)].
 
-    ip holds the table inner products of the block's feasible rows.  short
-    is None when they are exact (``_integral``).  Otherwise it holds the
-    positions in block.perms of the rows a reference form must re-score:
-    those within eps of the block's largest ip (see ``min_sq_over_group``),
-    or every feasible row, with ip None, when the bound does not apply.
+    When the table inner products are exact (``_integral``), ip holds them
+    for the chunk's feasible rows and short is None.  Otherwise ip is None
+    and short holds the feasible rows a reference form must re-score: those
+    within eps of the chunk's largest inner product (see
+    ``min_sq_over_group``), or every feasible row when the bound does not
+    apply.
     """
     exact = _integral(x, y)
     r = math.sqrt(np.einsum("ijc,ijc->", x, x)) + math.sqrt(np.einsum("ijc,ijc->", y, y))
@@ -461,13 +567,52 @@ def _ranked_blocks(
         n, d = x.shape[0], x.shape[2]
         pairs = np.einsum("ac,kc->ak", x.reshape(n * n, d), y.reshape(n * n, d))
         table = pairs.reshape(n, n, n * n)
-    for block in _blocks(x.shape[0], feasible):
-        kept = block.keep(np.arange(len(block.perms)))
+    for chunk in _chunks(x.shape[0], feasible):
         if not ranked:
-            yield block, None, kept
-            continue
-        ip = block.keep(block.totals(table))
-        yield block, ip, None if exact else kept[ip >= ip.max() - eps]
+            yield chunk, None, np.arange(chunk.count)
+        elif exact:
+            yield chunk, chunk.totals(table), None
+        else:  # no name keeps the totals alive while the next chunk is totalled
+            yield chunk, None, _near_best(chunk.totals(table), eps)
+
+
+def _near_best(ip: np.ndarray, eps: float) -> np.ndarray:
+    return np.flatnonzero(ip >= ip.max() - eps)
+
+
+def _inner_scan(
+    x: np.ndarray,
+    y: np.ndarray,
+    feasible: Callable[[np.ndarray], np.ndarray] | None,
+    metric: bool,
+) -> Witnessed:
+    """``min_sq_over_group`` if metric, else ``max_inner_over_group``."""
+    if metric:
+        sq = float(np.einsum("ijc,ijc->", x, x) + np.einsum("ijc,ijc->", y, y))
+
+        def form(g: np.ndarray) -> np.ndarray:
+            diff = g - y
+            return np.einsum("mijc,mijc->m", diff, diff)
+    else:
+        def form(g: np.ndarray) -> np.ndarray:
+            return np.einsum("mijc,ijc->m", g, y)
+
+    best, witness = (math.inf if metric else -math.inf), None
+    for chunk, ip, short in _ranked_chunks(x, y, feasible):
+        if short is None:  # exact: the largest inner product decides
+            i = int(np.argmax(ip))
+            found = [(sq - 2.0 * float(ip[i]) if metric else float(ip[i]), i)]
+        else:
+            found = []
+            for start in range(0, len(short), _RESCORE):
+                part = short[start : start + _RESCORE]
+                vals = form(chunk.gather(x, part))
+                i = int(np.argmin(vals) if metric else np.argmax(vals))
+                found.append((float(vals[i]), int(part[i])))
+        for value, i in found:
+            if witness is None or (value < best if metric else value > best):
+                best, witness = value, chunk.permutation(i)
+    return Witnessed(best, witness)
 
 
 def max_inner_over_group(
@@ -479,21 +624,12 @@ def max_inner_over_group(
 
     The dot edit kernel.  Values and witnesses are those of scoring every
     feasible row g in the reference form ``einsum("mijc,ijc->m", g, y)``;
-    that form decides among the rows the table ranks near each block's best
-    (``_ranked_blocks``; the bound is derived in ``min_sq_over_group``).
-    Without a feasible permutation the value is -inf and the witness None.
+    that form decides among the rows the table ranks near each chunk's best
+    (``_ranked_chunks``; the bound is derived in ``min_sq_over_group``),
+    _RESCORE rows at a time.  Without a feasible permutation the value is
+    -inf and the witness None.
     """
-    best, witness = -math.inf, None
-    for block, ip, short in _ranked_blocks(x, y, feasible):
-        if short is None:
-            vals, perms = ip, block.keep(block.perms)
-        else:
-            vals = np.einsum("mijc,ijc->m", block.gather(x, short), y)
-            perms = block.perms[short]
-        i = int(np.argmax(vals))
-        if witness is None or vals[i] > best:
-            best, witness = float(vals[i]), _permutation(perms[i])
-    return Witnessed(best, witness)
+    return _inner_scan(x, y, feasible, metric=False)
 
 
 def min_sq_over_group(
@@ -509,9 +645,9 @@ def min_sq_over_group(
 
     Values and witnesses are those of scoring every feasible row g in the
     diff form fl(sum (g - y)^2); that form alone is evaluated on the rows
-    that can win, which keeps exact zeros for isomorphic pairs.  Each block
+    that can win, which keeps exact zeros for isomorphic pairs.  Each chunk
     is first ranked by its table inner products <g, y>, and only the rows
-    within eps of the block's largest one are re-scored.  With u = 2^-53,
+    within eps of the chunk's largest one are re-scored.  With u = 2^-53,
     N = n*n*d cells, gamma_k = k*u / (1 - k*u) and R = ||x|| + ||y||
     (every row has ||g|| = ||x||, and ||g - y||^2 = ||x||^2 + ||y||^2 -
     2<g, y> exactly):
@@ -524,13 +660,13 @@ def min_sq_over_group(
     * each term of the diff form carries at most N + 2 roundings, so
       |fl(||g - y||^2) - ||g - y||^2| <= gamma_(N+2) R^2.
 
-    If row g scores no worse than the block's top-ranked row h in the diff
+    If row g scores no worse than the chunk's top-ranked row h in the diff
     form, then <h, y> - <g, y> <= gamma_(N+2) R^2 and hence
     fl(<h, y>) - fl(<g, y>) <= 1.5 gamma_(N+2) R^2; if g scores no worse
     than h in the reference dot of ``max_inner_over_group``, the gap is at
     most gamma_N R^2.  So
-    every row that can be a block's first optimum lies within
-    eps = 4 (N + 3) u R^2 of the block's best inner product; the factor 4
+    every row that can be a chunk's first optimum lies within
+    eps = 4 (N + 3) u R^2 of the chunk's best inner product; the factor 4
     over 1.5 absorbs the rounding of eps itself, of the norms, and of the
     subtraction.  The term (N + 3) 2^-1070 covers products that underflow.
     The bounds assume that no sum overflows, which holds while 4 R^2 is
@@ -538,25 +674,9 @@ def min_sq_over_group(
     re-scored.  When ``_integral`` certifies x and y, the inner products
     and ||x||^2 + ||y||^2 - 2<g, y> are exact, equal to the diff form, and
     no row is re-scored.  Re-scoring runs _RESCORE rows at a time, so a
-    block of ties gathers no full block.
+    chunk of ties gathers no full block.
     """
-    sq = float(np.einsum("ijc,ijc->", x, x) + np.einsum("ijc,ijc->", y, y))
-    best, witness = math.inf, None
-    for block, ip, short in _ranked_blocks(x, y, feasible):
-        if short is None:
-            i = int(np.argmax(ip))
-            value = sq - 2.0 * float(ip[i])
-            if witness is None or value < best:
-                best, witness = value, _permutation(block.keep(block.perms)[i])
-            continue
-        for start in range(0, len(short), _RESCORE):
-            chunk = short[start : start + _RESCORE]
-            diff = block.gather(x, chunk) - y
-            vals = np.einsum("mijc,mijc->m", diff, diff)
-            i = int(np.argmin(vals))
-            if witness is None or vals[i] < best:
-                best, witness = float(vals[i]), _permutation(block.perms[chunk[i]])
-    return Witnessed(best, witness)
+    return _inner_scan(x, y, feasible, metric=True)
 
 
 def quotient_distance(

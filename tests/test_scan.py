@@ -244,36 +244,50 @@ def test_only_orbits_enumerates_permutation_blocks():
 def test_blocks_concatenate_to_the_lex_ordered_group(n):
     perms = itertools.permutations(range(n))
     offset = 0
-    for start, block in orbits.iter_permutation_blocks(n):
-        assert start == offset and 1 <= len(block) <= 5040
-        expected = np.array(list(itertools.islice(perms, len(block))), dtype=np.intp)
-        assert np.array_equal(block, expected.reshape(len(block), n))
-        offset += len(block)
+    for start, sigmas in orbits.iter_permutation_blocks(n):
+        assert start == offset and 1 <= len(sigmas) <= orbits._CHUNK
+        for block in sigmas[:, orbits._base(n)]:
+            assert 1 <= len(block) <= 5040
+            expected = np.array(list(itertools.islice(perms, len(block))), dtype=np.intp)
+            assert np.array_equal(block, expected.reshape(len(block), n))
+            offset += len(block)
     assert offset == math.factorial(n) and next(perms, None) is None
 
 
+def _masks(n):
+    """No mask, dense and sparse row patterns, and a compact class that drops
+    whole blocks at n = 9."""
+    return {
+        "none": None,
+        "dense": lambda block: np.arange(len(block)) % 3 != 1,
+        "sparse": lambda block: np.arange(len(block)) % 3 == 1,
+        "compact": lambda block: kernels._compact_mask(block, max(n - 4, 0), max(n - 3, 0)),
+    }
+
+
 @pytest.mark.parametrize("n, d", [(0, 1), (1, 2), (5, 3), (8, 2), (9, 1)])
-def test_flat_gather_equals_reference_gather(n, d):
+def test_flat_gather_equals_reference_gather(n, d, monkeypatch):
     # The rows a masked scan gathers, picked by their flat positions in the
     # lex-ordered group, are the reference gathers of those permutations.
+    monkeypatch.setattr(orbits, "_CHUNK", 5)  # divides neither 8 nor 72 blocks
     cells = np.random.default_rng(n).normal(size=(n, n, d))
     group = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     group = group.reshape(math.factorial(n), n)
-    dense = lambda block: np.arange(len(block)) % 3 != 1  # noqa: E731
-    sparse = lambda block: np.arange(len(block)) % 3 == 1  # noqa: E731
-    for feasible in (None, dense, sparse):
+    for name, feasible in _masks(n).items():
         flat = np.arange(len(group))
         if feasible is not None:
-            mask = np.concatenate([feasible(b) for _, b in orbits.iter_permutation_blocks(n)])
+            base = orbits._base(n)
+            mask = np.concatenate([feasible(sigma[base]) for _, sigmas in
+                                   orbits.iter_permutation_blocks(n) for sigma in sigmas])
             flat = flat[mask]
         start = 0
-        for block in orbits._blocks(n, feasible):
-            kept = block.keep(np.arange(len(block.perms)))
-            rows = flat[start : start + len(kept)]
+        for chunk in orbits._chunks(n, feasible):
+            rows = flat[start : start + chunk.count]
+            assert np.array_equal(chunk.perms(np.arange(chunk.count)), group[rows]), name
             ref = orbits.gather(cells, group[rows[::7]])
-            assert np.array_equal(block.gather(cells, kept[::7]), ref)
-            start += len(kept)
-        assert start == len(flat)
+            assert np.array_equal(chunk.gather(cells, np.arange(0, chunk.count, 7)), ref)
+            start += chunk.count
+        assert start == len(flat), name
 
 
 def test_order_nine_scan_builds_no_table_beyond_seven(monkeypatch):
@@ -366,6 +380,8 @@ def test_rho_star_matches_diff_form_bit_for_bit(n, d, seed, kind, scale):
 
 def _ref_totals(kind, g, x, y):
     """Per-row totals of a gathered block g from the score definitions."""
+    if kind == "dot":
+        return np.einsum("mijc,ijc->m", g, y)
     if kind == "delta":
         same = np.all(g == y, axis=-1) & np.any(y != 0.0, axis=-1)
         return same.sum(axis=(1, 2)).astype(float)
@@ -381,33 +397,49 @@ def _ref_totals(kind, g, x, y):
 
 
 def _table(kind, x, y):
+    if kind == "dot":
+        n, d = x.shape[0], x.shape[2]
+        return (x.reshape(n * n, 1, d) * y.reshape(1, n * n, d)).sum(axis=-1).reshape(n, n, n * n)
     if kind == "equality":
         return orbits._equal_table(GraphMatrix(x))
     return kernels._score_table(x, y, kind)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_table_totals_equal_reference_totals(n):
+TOTAL_KINDS = ("dot", "delta", "cost-delta", "uniform", "equality")
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_table_totals_equal_reference_totals(n, monkeypatch):
+    # Chunks of 5 blocks leave a short last chunk at n = 8 and n = 9.  Small
+    # integer attributes make every total exact, so the batched totals must
+    # equal the definitions bit for bit, per feasible row.
+    monkeypatch.setattr(orbits, "_CHUNK", 5)
     rng = np.random.default_rng(100 + n)
-    d = 1 + n % 2
-    x = rng.integers(0, 3, size=(n, n, d)).astype(float)
-    y = rng.integers(0, 3, size=(n, n, d)).astype(float)
-    y[0] = 0.0  # null cells
+    d = 1 + n % 2 if n < 9 else 1
+    x = rng.integers(-1, 3, size=(n, n, d)).astype(float)
+    y = rng.integers(-1, 3, size=(n, n, d)).astype(float)
+    y[:1] = 0.0  # null cells
+    tables = {kind: _table(kind, x, y) for kind in TOTAL_KINDS}
     cost = EditCost.custom(_cells_cost)
-    custom = kernels._cost_table(x, y, cost)
-    dense = lambda block: np.arange(len(block)) % 3 != 1  # noqa: E731
-    sparse = lambda block: np.arange(len(block)) % 3 == 1  # noqa: E731
-    for feasible in (None, dense, sparse):
-        for block in orbits._blocks(n, feasible):
-            g = orbits.gather(x, block.perms)
-            for kind in ("delta", "cost-delta", "uniform", "equality"):
-                got = block.totals(_table(kind, x, y))
-                assert np.array_equal(got, _ref_totals(kind, g, x, y)), kind
-            sample = np.arange(0, len(block.perms), 53)
-            ref = [sum(cost(tuple(row[k, l]), tuple(y[k, l])) for k in range(n) for l in range(n))
-                   for row in g[sample]]
-            got = block.totals(custom, in_order=True)[sample]
-            assert [v.hex() for v in got] == [v.hex() for v in ref]
+    custom = kernels._cost_table(x, y, cost) if n < 9 else None
+    for name, feasible in _masks(n).items():
+        for chunk in orbits._chunks(n, feasible):
+            got = {kind: chunk.totals(table) for kind, table in tables.items()}
+            for start in range(0, chunk.count, 5040):
+                which = np.arange(start, min(start + 5040, chunk.count))
+                g = orbits.gather(x, chunk.perms(which))
+                for kind in TOTAL_KINDS:
+                    ref = _ref_totals(kind, g, x, y)
+                    assert np.array_equal(got[kind][which], ref), (name, kind)
+        if custom is None:
+            continue
+        for chunk in orbits._chunks(n, feasible, 1):
+            sample = np.arange(0, chunk.count, 53)
+            g = orbits.gather(x, chunk.perms(sample))
+            ref = [float(sum(cost(tuple(row[k, l]), tuple(y[k, l]))
+                             for k in range(n) for l in range(n))) for row in g]
+            got = chunk.totals(custom, in_order=True)[sample]
+            assert [v.hex() for v in got] == [v.hex() for v in ref], name
 
 
 def test_custom_cost_is_called_once_per_cell_pair():
@@ -556,3 +588,62 @@ def test_domain_margin_matches_reference_at_the_certificate_boundary(n, d, seed,
     rest, _ = ref_optimum(n, dot_form(x, z), True, not_identity)
     margin = Alignment(center).domain_margin(GraphMatrix(x))
     assert margin.hex() == (GraphMatrix(x).inner(GraphMatrix(z)) - rest).hex()
+
+
+# ------------------------------------------------ masks and memory of a scan
+
+
+def test_compact_class_without_padding_builds_no_mask(monkeypatch):
+    # When the larger graph fills the padded order, every bijection is
+    # compact, so the compact scans are the scans of the whole group.
+    calls = []
+    real = kernels._compact_mask
+
+    def counting(block, rx, ry):
+        calls.append(len(block))
+        return real(block, rx, ry)
+
+    monkeypatch.setattr(kernels, "_compact_mask", counting)
+    rng = np.random.default_rng(43)
+    for order in (3, 6, 8):
+        x = random_graph(rng, order, 2, attrs="int")
+        y = random_graph(rng, order - 2, 2)
+        for a, b in ((x, y), (y, x)):
+            for score in (DOT, DELTA):
+                res = edit_kernel(a, b, score, "compact")
+                assert res == edit_kernel(a, b, score, "all")
+            for cost in (EditCost.uniform(), EditCost.from_kernel(DOT)):
+                assert general_ged(a, b, cost, "compact") == general_ged(a, b, cost, "all")
+        graphspace.mcs_kernel(x, y)
+    assert calls == []
+    edit_kernel(x, y, DELTA, "compact", order=9)  # padding: the mask applies
+    assert calls
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_dot_kernel_rescores_float_ties_in_bounded_memory():
+    # 0.1 is no integer, so the inner products only rank, and the 8! rows that
+    # fix the star tie at the best: all are re-scored, _RESCORE at a time.
+    x = 0.1 * to_matrix(unit_star(9)).cells
+    res, peak = _traced_peak(lambda: orbits.max_inner_over_group(x, x))
+    assert peak < 12 * 2**20
+    assert _bits(res.value, res.witness.images) == _bits(*ref_optimum(9, dot_form(x, x), True))
+
+
+def test_memory_stays_bounded_beyond_the_default_guard():
+    # Order 10 is 720 blocks of 7!; a scan holds one chunk of them at a time.
+    rng = np.random.default_rng(47)
+    x = random_graph(rng, 10, 1)
+    y = relabeled(rng, x)
+    res, peak = _traced_peak(lambda: quotient_distance(to_matrix(x), to_matrix(y), guard=10))
+    assert res.value == 0.0
+    assert peak < 16 * 2**20

@@ -1,0 +1,210 @@
+"""Compare the public results of two graphspace source trees bit for bit.
+
+    python tools/compare_trees.py OLD_SRC NEW_SRC
+
+Each tree is imported in its own subprocess, which evaluates the same seeded
+cases and prints one JSON line per result: floats as ``float.hex``,
+permutations as image lists, matrices as shapes plus hex cells, and raised
+exceptions by type.  The cases cover orders 1-9 and attribute dimensions 1-3
+over six input families (Gaussian, small integers with ties, unit-labelled
+cycles and stars, graphs padded up to a fixed order, relabelled copies, and
+integers at the edge of the engine's exactness certificate, plus 1e160- and
+0.1-scaled copies), and call the kernels, metrics, isotropy checks,
+alignments and means of the package; ``gram`` CSVs of both kinds are compared
+byte for byte.  Inputs are built with numpy here, not with the trees' own
+samplers, so both trees see the same graphs.
+
+Exit status 0 when every result is identical, 1 otherwise (the differing
+cases are listed).
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+FAMILIES = ("gauss", "int", "unit", "padded", "relabelled", "edge")
+
+
+def _canon(value):
+    """A JSON-able form of a result in which equal means bit-identical."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if hasattr(value, "images"):  # Permutation
+        return [int(v) for v in value.images]
+    if hasattr(value, "cells"):  # GraphMatrix
+        return _canon(np.asarray(value.cells))
+    if isinstance(value, np.ndarray):
+        return [list(value.shape), [float(v).hex() for v in value.reshape(-1)]]
+    if hasattr(value, "node_attrs"):  # AttributedGraph
+        import graphspace
+
+        return graphspace.serialize_graph(value)
+    if isinstance(value, (tuple, list)):
+        return [_canon(v) for v in value]
+    if hasattr(value, "__dict__"):
+        return {k: _canon(v) for k, v in sorted(vars(value).items())}
+    return repr(value)
+
+
+def _cells(rng, n, d, family, step):
+    """An (n, n, d) directed attribute matrix of one family."""
+    if family == "int":
+        return rng.integers(-1, 3, size=(n, n, d)).astype(float)
+    if family == "unit":
+        cells = np.zeros((n, n, d))
+        for i in range(n):
+            j = (i + 1) % n if step == 0 else 0  # a cycle, or a star at node 0
+            if i != j:
+                cells[i, j] = cells[j, i] = 1.0
+        return cells
+    if family == "edge":  # integers just under (step 0) or over the certificate
+        m = math.isqrt((2**53 - 1) // (4 * n * n * d)) + step
+        cells = rng.integers(-m, m + 1, size=(n, n, d)).astype(float)
+        cells.flat[rng.integers(cells.size)] = m
+        return cells
+    return rng.normal(size=(n, n, d))
+
+
+def _pairs(n, d):
+    """(label, x cells, y cells, order) pairs of every family at order n."""
+    rng = np.random.default_rng(1000 * n + 10 * d)
+    out = []
+    for family in FAMILIES:
+        if family == "unit" and n < 3:
+            continue
+        x = _cells(rng, n, d, family, 0)
+        y = _cells(rng, n, d, family, 1)
+        if family == "padded":
+            rx, ry = max(1, n - 2), max(1, n - 3)
+            x, y = x[:rx, :rx], y[:ry, :ry]
+        elif family == "relabelled":
+            p = rng.permutation(n)
+            y = x[np.ix_(p, p)].copy()
+        out.append((family, x, y, n))
+    if n >= 2:
+        x = rng.integers(0, 3, size=(n, n, d)) * 1e160  # products overflow
+        out.append(("huge", x, x[::-1, ::-1].copy(), n))
+        star = 0.1 * _cells(rng, n, d, "unit", 1) if n >= 3 else 0.1 * np.ones((n, n, d))
+        out.append(("tenth-star", star, star.copy(), n))
+    return out
+
+
+def _custom_cost(a, b):
+    return float(sum(abs(u - v) for u, v in zip(a, b))) + (0.5 if a != b else 0.0)
+
+
+def _cases(gs):
+    """Yield (label, thunk) for every compared result."""
+    for n in range(1, 10):
+        for d in (1, 2, 3):
+            for family, xc, yc, order in _pairs(n, d):
+                x = gs.from_matrix(gs.GraphMatrix(xc), directed=True)
+                y = gs.from_matrix(gs.GraphMatrix(yc), directed=True)
+                xm = gs.to_matrix(gs.pad_to_order(x, order))
+                ym = gs.to_matrix(gs.pad_to_order(y, order))
+                tag = f"n={n} d={d} {family}"
+                yield f"{tag} quotient_distance", lambda: gs.quotient_distance(xm, ym)
+                for score in (gs.DOT, gs.DELTA):
+                    for cls in ("all", "compact"):
+                        yield (f"{tag} edit_kernel {score.kind} {cls}",
+                               lambda s=score, c=cls: gs.edit_kernel(x, y, s, c, order=order))
+                costs = [gs.EditCost.uniform(), gs.EditCost.from_kernel(gs.DELTA),
+                         gs.EditCost.from_kernel(gs.DOT)]
+                if n <= 6:
+                    costs.append(gs.EditCost.custom(_custom_cost))
+                for cost in costs:
+                    yield (f"{tag} general_ged {cost.kind} compact",
+                           lambda c=cost: gs.general_ged(x, y, c, "compact", order=order))
+                yield (f"{tag} induced_metric",
+                       lambda: gs.induced_metric(x, y, order=order))
+                if n <= 8 or family in ("unit", "relabelled"):
+                    yield f"{tag} mcs_kernel", lambda: gs.mcs_kernel(x, y)
+                    yield f"{tag} isotropy_group", lambda: gs.isotropy_group(xm)
+                    yield f"{tag} is_ordinary", lambda: gs.is_ordinary(ym)
+                if n <= 7:
+                    yield from _alignment_cases(gs, tag, x, y, ym, order)
+                if n <= 5 and family in ("gauss", "int", "padded"):
+                    yield (f"{tag} sample_mean",
+                           lambda: gs.sample_mean([x, y, gs.scalar_mult(0.5, x)], max_iter=5))
+
+
+def _alignment_cases(gs, tag, x, y, ym, order):
+    def aligner():
+        return gs.Alignment(x, order=order)
+
+    yield f"{tag} rho_star", lambda: aligner().rho_star
+    yield f"{tag} domain_margin", lambda: aligner().domain_margin(ym)
+    yield f"{tag} align", lambda: aligner().align(y)
+    yield f"{tag} midpoint", lambda: gs.midpoint(x, y)
+
+
+def _gram_cases(gs, cli):
+    for n, d, k in ((4, 1, 5), (7, 2, 5), (8, 3, 4), (9, 1, 3)):
+        rng = np.random.default_rng(7 * n + d)
+        graphs = [gs.from_matrix(gs.GraphMatrix(_cells(rng, n - i % 2, d, family, 0)), True)
+                  for i, family in zip(range(k), ("gauss", "int", "unit", "gauss", "int"))]
+        with tempfile.TemporaryDirectory() as tmp:
+            folder = Path(tmp, "graphs")
+            folder.mkdir()
+            for i, g in enumerate(graphs):
+                (folder / f"g{i}.json").write_text(gs.serialize_graph(g), encoding="utf-8")
+            for kind in ("kernel", "distance"):
+                out = Path(tmp, f"{kind}.csv")
+                code = cli.main(["gram", str(folder), "--kind", kind, "-o", str(out)])
+                text = out.read_text(encoding="utf-8") if out.exists() else ""
+                yield f"gram n={n} d={d} k={k} {kind}", [code, text]
+
+
+def emit(src: str) -> None:
+    sys.path.insert(0, src)
+    import graphspace as gs
+    from graphspace import cli
+
+    for label, thunk in _cases(gs):
+        try:
+            result = _canon(thunk())
+        except Exception as exc:  # a raised error is a result too
+            result = f"raises {type(exc).__name__}"
+        print(json.dumps([label, result]), flush=True)
+    for label, result in _gram_cases(gs, cli):
+        print(json.dumps([label, result]), flush=True)
+
+
+def _run(src: str) -> list[tuple[str, object]]:
+    proc = subprocess.run([sys.executable, __file__, "--emit", src],
+                          capture_output=True, text=True, check=True)
+    return [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--emit":
+        emit(argv[1])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    old, new = (_run(str(Path(src).resolve())) for src in argv)
+    labels = [label for label, _ in old]
+    if labels != [label for label, _ in new]:
+        print("the trees evaluated different cases", file=sys.stderr)
+        return 1
+    differ = [label for (label, a), (_, b) in zip(old, new) if a != b]
+    for label in differ:
+        print(f"DIFFERS: {label}")
+    print(f"{len(old) - len(differ)} of {len(old)} results identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
