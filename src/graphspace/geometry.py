@@ -53,10 +53,12 @@ class GraphSpaceConfig:
     """Shared settings for all graphs entering one geometric computation.
 
     The edit score is always ``DOT``: the geometry is that of the quotient
-    metric, which the dot score induces.
+    metric, which the dot score induces.  Graphs are padded with null nodes
+    to a common order (``bound`` padding): ``order``, or by default the
+    larger order of each pair (of all inputs, in ``sample_mean``).  Under one
+    fixed order, distances across a whole collection form a metric.
     """
 
-    padding: str = "bound"
     order: int | None = None
     guard: int = DEFAULT_ORDER_GUARD
 
@@ -73,7 +75,7 @@ def kernel_value(
 ) -> float:
     """Edit kernel over the full group: max over gamma of <x, gamma y>."""
     cfg = _cfg(config)
-    return edit_kernel(x, y, DOT, "all", cfg.padding, cfg.order, cfg.guard).value
+    return edit_kernel(x, y, DOT, "all", "bound", cfg.order, cfg.guard).value
 
 
 def metric(
@@ -81,7 +83,7 @@ def metric(
 ) -> float:
     """The induced metric: min over gamma of ||x - gamma y||."""
     cfg = _cfg(config)
-    return induced_metric(x, y, DOT, cfg.padding, cfg.order, cfg.guard)
+    return induced_metric(x, y, DOT, "bound", cfg.order, cfg.guard)
 
 
 def scalar_mult(lam: float, x: AttributedGraph) -> AttributedGraph:
@@ -160,7 +162,7 @@ def midpoint(
     if x.directed != y.directed:
         raise ValueError("midpoint requires a common directedness")
     cfg = _cfg(config)
-    xm, ym = _prepare(x, y, cfg.padding, cfg.order, cfg.guard)
+    xm, ym = _prepare(x, y, "bound", cfg.order, cfg.guard)
     aligned = apply_action(min_sq_over_group(xm.cells, ym.cells).witness, ym)
     return _graph_of((xm.cells + aligned.cells) / 2.0, x.directed)
 

@@ -188,8 +188,7 @@ def transformation_score(
     gy = apply_action(perm, y)
     if score.kind == "dot":
         return float(np.einsum("ijc,ijc->", x.cells, gy.cells))
-    eq = np.all(x.cells == gy.cells, axis=-1) & np.any(x.cells != 0.0, axis=-1)
-    return float(eq.sum())
+    return float(_cell_scores(gy.cells, x.cells, "delta").sum())
 
 
 def transformation_cost(
@@ -332,7 +331,7 @@ def mcs_kernel(
     res = edit_kernel(x, y, DELTA, "compact", "bound", None, guard)
     xm, ym = _prepare(x, y, "bound", None, guard)
     g = gather(xm.cells, np.asarray([res.witness.images], dtype=np.intp))[0]
-    matched = np.all(g == ym.cells, axis=-1) & np.any(ym.cells != 0.0, axis=-1)
+    matched = _cell_scores(g, ym.cells, "delta")
     nodes = int(np.trace(matched))
     ordered = int(matched.sum()) - nodes
     undirected = not x.directed and not y.directed

@@ -17,7 +17,8 @@ target cell of y, an (n, n, n*n) cell-pair table with
 table[a, b, i*n + j] = s(x[a, b], y[i, j]), and totals each permutation from
 that table instead of gathering its n*n*d attribute cells.  ``optimum``
 keeps the best total; ``max_inner_over_group`` and ``min_sq_over_group``
-rank by the table of inner products and decide in the reference forms.
+rank by the table of inner products, and decide through ``optimum`` when its
+totals are exact and in the reference forms otherwise.
 Orbits, isotropy groups, kernels, metrics, alignments and means are all
 scans of this engine.
 
@@ -33,9 +34,11 @@ The scan is memory-bounded and never materialises the whole group:
 * Chunks.  ``iter_permutation_blocks`` yields the sigmas of up to _CHUNK
   consecutive blocks (24: a third of the 72 blocks at n = 9), streamed from
   the prefixes, and a scan handles a chunk in a few vectorised passes
-  instead of one Python round per block.  Block rows ``sigma[base]`` are
-  built only where a mask needs them (a chunk's rows at once, in one byte
-  per image), and single rows where a re-score, ``orbit`` or a witness does.
+  instead of one Python round per block (only a custom cost's in-order
+  totals go block by block, within the chunk).  Block rows ``sigma[base]``
+  are built only where a mask needs them (a chunk's rows at once, in one
+  byte per image), and single rows where a re-score, ``orbit`` or a witness
+  does.
 * Folded tables.  Because block t is sigma composed with ``base``, a chunk
   relabels the table by all its sigmas at once,
   ``table[sigmas[:, :, None], sigmas[:, None, :]]``, and folds each copy
@@ -66,10 +69,12 @@ The scan is memory-bounded and never materialises the whole group:
   Python's ``sum`` adds floats up to 3.11 (3.12's ``sum`` compensates).
 * Inner products.  When x and y hold integers with
   N (max|x| + max|y|)^2 < 2^53 (N = n*n*d), every sum over their cells is
-  exact and the table inner products are the reference values.  Otherwise
-  they only rank: rows within a forward-error bound of a chunk's best are
-  re-scored in the reference form (derivation in ``min_sq_over_group``), so
-  values and witnesses are those of a reference scan of every row.
+  exact and the table inner products are the reference values, so the scan
+  is an ``optimum`` of that table, and the metric ||x||^2 + ||y||^2 - 2
+  times its value.  Otherwise they only rank: rows within a forward-error
+  bound of a chunk's best are re-scored in the reference form (derivation
+  in ``min_sq_over_group``), so values and witnesses are those of a
+  reference scan of every row.
 
 Permutations are enumerated in lexicographic order of their image sequences,
 and every "return one minimizer/maximizer" contract below breaks ties toward
@@ -256,12 +261,10 @@ def _fold(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return const, pairs
 
 
-def iter_permutation_blocks(
-    n: int, blocks: int | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
+def iter_permutation_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (offset, sigmas): the permutations of 0..n-1 in lex order, as
-    chunks of ``blocks`` (by default _CHUNK) consecutive blocks of 7! rows
-    (one block of all n! for n <= 7).
+    chunks of up to _CHUNK consecutive blocks of 7! rows (one block of all
+    n! for n <= 7).
 
     Block b of a chunk holds the permutations whose first n - 7 images are
     one prefix; it is ``sigmas[b][_base(n)]``, with sigmas[b] the prefix
@@ -273,7 +276,7 @@ def iter_permutation_blocks(
     rows = math.factorial(n - k)
     prefixes = itertools.permutations(range(n), k)
     offset = 0
-    while chunk := list(itertools.islice(prefixes, blocks or _CHUNK)):
+    while chunk := list(itertools.islice(prefixes, _CHUNK)):
         c = len(chunk)
         head = np.array(chunk, dtype=np.intp).reshape(c, k)
         rest = np.ones((c, n), dtype=bool)
@@ -415,9 +418,7 @@ class _Chunk(NamedTuple):
 
 
 def _chunks(
-    n: int,
-    feasible: Callable[[np.ndarray], np.ndarray] | None = None,
-    blocks: int | None = None,
+    n: int, feasible: Callable[[np.ndarray], np.ndarray] | None = None
 ) -> Iterator[_Chunk]:
     """The one loop over the group: its permutations in lex order, by chunk.
 
@@ -425,12 +426,11 @@ def _chunks(
     sees a chunk's rows at once, in the narrowest unsigned dtype that holds
     0..n-1 (1 MB at n = 9).  Blocks with no feasible row are dropped, and so
     are chunks left empty.  Callers score each chunk as it comes, so one
-    chunk's entries are alive at a time.  ``blocks`` sets the blocks per
-    chunk (see ``iter_permutation_blocks``).
+    chunk's entries are alive at a time.
     """
     base = _base(n)
     narrow = np.min_scalar_type(n)
-    for _, sigmas in iter_permutation_blocks(n, blocks):
+    for _, sigmas in iter_permutation_blocks(n):
         if feasible is None:
             yield _Chunk(sigmas, None)
             continue
@@ -518,14 +518,13 @@ def optimum(
 
     ``table`` is an (n, n, n*n) cell-pair table; the total of p is the sum
     over cells k = (i, j) of table[p_i, p_j, k] (see ``_Chunk.totals`` for
-    ``in_order``, which keeps one block per chunk).  Ties break toward the
-    lexicographically smallest permutation.  The witness is None only when
-    no permutation is feasible; the value is then -inf when maximizing and
-    inf when minimizing.
+    ``in_order``).  Ties break toward the lexicographically smallest
+    permutation.  The witness is None only when no permutation is feasible;
+    the value is then -inf when maximizing and inf when minimizing.
     """
     pick = np.argmax if maximize else np.argmin
     best, witness = (-math.inf if maximize else math.inf), None
-    for chunk in _chunks(table.shape[0], feasible, 1 if in_order else None):
+    for chunk in _chunks(table.shape[0], feasible):
         vals = chunk.totals(table, in_order)
         i = int(pick(vals))
         if witness is None or (vals[i] > best if maximize else vals[i] < best):
@@ -545,37 +544,6 @@ def _integral(x: np.ndarray, y: np.ndarray) -> bool:
     return x.size * int(s) ** 2 < 2**53
 
 
-def _ranked_chunks(
-    x: np.ndarray, y: np.ndarray, feasible: Callable[[np.ndarray], np.ndarray] | None
-) -> Iterator[tuple[_Chunk, np.ndarray | None, np.ndarray | None]]:
-    """Yield (chunk, ip, short) for a scan of the inner products <g, y>, g
-    running over the rows x[ix_(p, p)].
-
-    When the table inner products are exact (``_integral``), ip holds them
-    for the chunk's feasible rows and short is None.  Otherwise ip is None
-    and short holds the feasible rows a reference form must re-score: those
-    within eps of the chunk's largest inner product (see
-    ``min_sq_over_group``), or every feasible row when the bound does not
-    apply.
-    """
-    exact = _integral(x, y)
-    r = math.sqrt(np.einsum("ijc,ijc->", x, x)) + math.sqrt(np.einsum("ijc,ijc->", y, y))
-    terms = y.size + 3
-    eps = 4.0 * terms * 2.0**-53 * r * r + terms * 2.0**-1070
-    ranked = exact or math.isfinite(4.0 * r * r)
-    if ranked:
-        n, d = x.shape[0], x.shape[2]
-        pairs = np.einsum("ac,kc->ak", x.reshape(n * n, d), y.reshape(n * n, d))
-        table = pairs.reshape(n, n, n * n)
-    for chunk in _chunks(x.shape[0], feasible):
-        if not ranked:
-            yield chunk, None, np.arange(chunk.count)
-        elif exact:
-            yield chunk, chunk.totals(table), None
-        else:  # no name keeps the totals alive while the next chunk is totalled
-            yield chunk, None, _near_best(chunk.totals(table), eps)
-
-
 def _near_best(ip: np.ndarray, eps: float) -> np.ndarray:
     return np.flatnonzero(ip >= ip.max() - eps)
 
@@ -586,10 +554,26 @@ def _inner_scan(
     feasible: Callable[[np.ndarray], np.ndarray] | None,
     metric: bool,
 ) -> Witnessed:
-    """``min_sq_over_group`` if metric, else ``max_inner_over_group``."""
-    if metric:
-        sq = float(np.einsum("ijc,ijc->", x, x) + np.einsum("ijc,ijc->", y, y))
+    """``min_sq_over_group`` if metric, else ``max_inner_over_group``.
 
+    Under ``_integral`` the table inner products <g, y> are exact and
+    ``optimum`` decides; ||x||^2 + ||y||^2 - 2<g, y> is then exact too and
+    strictly decreasing in <g, y>.  Otherwise one loop re-scores each
+    chunk's shortlist in the reference form.
+    """
+    xx, yy = np.einsum("ijc,ijc->", x, x), np.einsum("ijc,ijc->", y, y)
+    r = math.sqrt(xx) + math.sqrt(yy)
+    ranked = math.isfinite(4.0 * r * r)  # always under _integral
+    if ranked:
+        n, d = x.shape[0], x.shape[2]
+        pairs = np.einsum("ac,kc->ak", x.reshape(n * n, d), y.reshape(n * n, d))
+        table = pairs.reshape(n, n, n * n)
+    if _integral(x, y):
+        best, witness = optimum(table, maximize=True, feasible=feasible)
+        return Witnessed(float(xx + yy) - 2.0 * best if metric else best, witness)
+    terms = y.size + 3
+    eps = 4.0 * terms * 2.0**-53 * r * r + terms * 2.0**-1070
+    if metric:
         def form(g: np.ndarray) -> np.ndarray:
             diff = g - y
             return np.einsum("mijc,mijc->m", diff, diff)
@@ -597,21 +581,17 @@ def _inner_scan(
         def form(g: np.ndarray) -> np.ndarray:
             return np.einsum("mijc,ijc->m", g, y)
 
+    pick = np.argmin if metric else np.argmax
     best, witness = (math.inf if metric else -math.inf), None
-    for chunk, ip, short in _ranked_chunks(x, y, feasible):
-        if short is None:  # exact: the largest inner product decides
-            i = int(np.argmax(ip))
-            found = [(sq - 2.0 * float(ip[i]) if metric else float(ip[i]), i)]
-        else:
-            found = []
-            for start in range(0, len(short), _RESCORE):
-                part = short[start : start + _RESCORE]
-                vals = form(chunk.gather(x, part))
-                i = int(np.argmin(vals) if metric else np.argmax(vals))
-                found.append((float(vals[i]), int(part[i])))
-        for value, i in found:
-            if witness is None or (value < best if metric else value > best):
-                best, witness = value, chunk.permutation(i)
+    for chunk in _chunks(x.shape[0], feasible):
+        # no name keeps the totals alive while the chunk is re-scored
+        short = _near_best(chunk.totals(table), eps) if ranked else np.arange(chunk.count)
+        for start in range(0, len(short), _RESCORE):
+            part = short[start : start + _RESCORE]
+            vals = form(chunk.gather(x, part))
+            i = int(pick(vals))
+            if witness is None or (vals[i] < best if metric else vals[i] > best):
+                best, witness = float(vals[i]), chunk.permutation(int(part[i]))
     return Witnessed(best, witness)
 
 
@@ -625,7 +605,7 @@ def max_inner_over_group(
     The dot edit kernel.  Values and witnesses are those of scoring every
     feasible row g in the reference form ``einsum("mijc,ijc->m", g, y)``;
     that form decides among the rows the table ranks near each chunk's best
-    (``_ranked_chunks``; the bound is derived in ``min_sq_over_group``),
+    (``_inner_scan``; the bound is derived in ``min_sq_over_group``),
     _RESCORE rows at a time.  Without a feasible permutation the value is
     -inf and the witness None.
     """

@@ -124,6 +124,7 @@ def suite_metric(trials=200, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD) -> Sui
 
 def suite_cauchy_schwarz(trials=500, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD) -> SuiteReport:
     rng = np.random.default_rng(seed)
+    cfg = GraphSpaceConfig(guard=guard)
     min_gap = math.inf
     eq_worst = 0.0
     for t in range(trials):
@@ -131,10 +132,10 @@ def suite_cauchy_schwarz(trials=500, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD
         directed = bool(rng.integers(0, 2))
         x = random_graph(rng, int(rng.integers(1, 5)), dim, directed=directed)
         y = random_graph(rng, int(rng.integers(1, 5)), dim, directed=directed)
-        min_gap = min(min_gap, cauchy_schwarz_gap(x, y))
+        min_gap = min(min_gap, cauchy_schwarz_gap(x, y, cfg))
         if t % 5 == 0:
             for lam in (0.5, 2.0, 7.0):
-                eq_worst = max(eq_worst, abs(cauchy_schwarz_gap(x, scalar_mult(lam, x))))
+                eq_worst = max(eq_worst, abs(cauchy_schwarz_gap(x, scalar_mult(lam, x), cfg)))
     report = SuiteReport("cauchy-schwarz")
     report.results.append(
         PropertyResult("gap_nonnegative", min_gap >= -tol, max(0.0, -min_gap))
@@ -147,15 +148,16 @@ def suite_cauchy_schwarz(trials=500, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD
 
 def suite_homogeneity(trials=100, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD) -> SuiteReport:
     rng = np.random.default_rng(seed)
+    cfg = GraphSpaceConfig(guard=guard)
     worst = 0.0
     for _ in range(trials):
         dim = int(rng.integers(1, 3))
         directed = bool(rng.integers(0, 2))
         x = random_graph(rng, int(rng.integers(1, 5)), dim, directed=directed)
         y = random_graph(rng, int(rng.integers(1, 5)), dim, directed=directed)
-        base = kernel_value(x, y)
+        base = kernel_value(x, y, cfg)
         for lam in (0.5, 1.0, 2.0, 7.0):
-            scaled = kernel_value(x, scalar_mult(lam, y))
+            scaled = kernel_value(x, scalar_mult(lam, y), cfg)
             worst = max(worst, abs(scaled - lam * base) / (1.0 + abs(lam * base)))
     report = SuiteReport("homogeneity")
     report.results.append(PropertyResult("positive_homogeneity", worst <= tol, worst))

@@ -171,6 +171,12 @@ def test_check_command_exit_codes():
     assert run_cli("check", "--suite", "bogus").returncode == 3
 
 
+@pytest.mark.parametrize("suite", ["homogeneity", "cauchy-schwarz", "ordinary"])
+def test_check_suites_honour_guard(suite):
+    res = run_cli("check", "--suite", suite, "--trials", "3", "--guard", "1")
+    assert res.returncode == 2
+
+
 def test_check_is_byte_deterministic():
     args = ("check", "--suite", "metric", "--trials", "40", "--seed", "7")
     first, second = run_cli(*args), run_cli(*args)

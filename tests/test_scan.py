@@ -433,7 +433,7 @@ def test_table_totals_equal_reference_totals(n, monkeypatch):
                     assert np.array_equal(got[kind][which], ref), (name, kind)
         if custom is None:
             continue
-        for chunk in orbits._chunks(n, feasible, 1):
+        for chunk in orbits._chunks(n, feasible):
             sample = np.arange(0, chunk.count, 53)
             g = orbits.gather(x, chunk.perms(sample))
             ref = [float(sum(cost(tuple(row[k, l]), tuple(y[k, l]))
@@ -588,6 +588,24 @@ def test_domain_margin_matches_reference_at_the_certificate_boundary(n, d, seed,
     rest, _ = ref_optimum(n, dot_form(x, z), True, not_identity)
     margin = Alignment(center).domain_margin(GraphMatrix(x))
     assert margin.hex() == (GraphMatrix(x).inner(GraphMatrix(z)) - rest).hex()
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("kind", ["int", "gauss"])
+def test_infeasible_scan_has_no_witness(n, kind):
+    # Certified integers reduce through optimum, Gaussian cells through the
+    # re-scoring loop; without a feasible row both report the start value
+    # of their reduction, -inf or inf, and no witness.
+    rng = np.random.default_rng(n)
+    if kind == "int":
+        x, y = (rng.integers(-1, 3, size=(n, n, 2)).astype(float) for _ in range(2))
+    else:
+        x, y = rng.normal(size=(n, n, 2)), rng.normal(size=(n, n, 2))
+    assert orbits._integral(x, y) == (kind == "int")
+    none = lambda p: np.zeros(len(p), dtype=bool)  # noqa: E731
+    assert orbits.min_sq_over_group(x, y, none) == (math.inf, None)
+    assert orbits.max_inner_over_group(x, y, none) == (-math.inf, None)
+    assert orbits.optimum(_table("dot", x, y), True, none) == (-math.inf, None)
 
 
 # ------------------------------------------------ masks and memory of a scan

@@ -10,8 +10,9 @@ over six input families (Gaussian, small integers with ties, unit-labelled
 cycles and stars, graphs padded up to a fixed order, relabelled copies, and
 integers at the edge of the engine's exactness certificate, plus 1e160- and
 0.1-scaled copies), and call the kernels, metrics, isotropy checks,
-alignments and means of the package; ``gram`` CSVs of both kinds are compared
-byte for byte.  Inputs are built with numpy here, not with the trees' own
+alignments and means of the package (a custom edit cost at orders up to 6,
+and up to 9 for d = 1); ``gram`` CSVs of both kinds are compared byte for
+byte.  Inputs are built with numpy here, not with the trees' own
 samplers, so both trees see the same graphs.
 
 Exit status 0 when every result is identical, 1 otherwise (the differing
@@ -121,7 +122,7 @@ def _cases(gs):
                                lambda s=score, c=cls: gs.edit_kernel(x, y, s, c, order=order))
                 costs = [gs.EditCost.uniform(), gs.EditCost.from_kernel(gs.DELTA),
                          gs.EditCost.from_kernel(gs.DOT)]
-                if n <= 6:
+                if n <= 6 or d == 1:  # n >= 8: in-order totals over several blocks
                     costs.append(gs.EditCost.custom(_custom_cost))
                 for cost in costs:
                     yield (f"{tag} general_ged {cost.kind} compact",
