@@ -19,7 +19,6 @@ from .bruteforce import (
     exhaustive_mean_optimum,
 )
 from .geometry import (
-    GraphSpaceConfig,
     MeanResult,
     angle_cosine,
     cauchy_schwarz_gap,
@@ -115,7 +114,6 @@ __all__ = [
     "subperm_metric",
     "greedy_bound",
     "GreedyBound",
-    "GraphSpaceConfig",
     "kernel_value",
     "metric",
     "scalar_mult",

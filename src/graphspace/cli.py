@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .alignment import Alignment
-from .geometry import GraphSpaceConfig, sample_mean
+from .geometry import sample_mean
 from .graphs import PADDING_MODES, GraphFormatError, load_graph, pad_pair, serialize_graph
 from .kernels import (
     DELTA,
@@ -66,7 +66,6 @@ _FLAGS = {
     "pad": (("--pad",), dict(choices=PADDING_MODES, default="bound")),
     "order": (("--order",), dict(type=int, default=None, help="fixed padding order")),
     "guard": (("--guard",), dict(type=int, default=None, help="permutation order guard")),
-    "seed": (("--seed",), dict(type=int, default=0)),
     "tol": (("--tol",), dict(type=float, default=None, help=f"tolerance (default {_TOL})")),
     "output": (("-o", "--output"), dict(default=None, help="write output to this path")),
 }
@@ -112,8 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a named verification suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--trials", type=int, default=None)
-    _add_flags(p, "seed", "tol", "guard", "output")
+    for flag, kind in (("--trials", int), ("--seed", int), ("--tol", float)):
+        p.add_argument(flag, type=kind, default=None, help="default: the suite's own")
+    _add_flags(p, "guard", "output")
 
     return parser
 
@@ -234,8 +234,7 @@ def cmd_align(args, guard: int) -> int:
 
 def cmd_mean(args, guard: int) -> int:
     graphs = [load_graph(p) for p in args.graphs]
-    cfg = GraphSpaceConfig(order=args.order, guard=guard)
-    res = sample_mean(graphs, max_iter=args.max_iter, config=cfg)
+    res = sample_mean(graphs, args.max_iter, args.order, guard)
     payload = {
         "mean": json.loads(serialize_graph(res.mean)),
         "frechet_value": res.frechet_value,
@@ -255,8 +254,9 @@ def cmd_check(args, guard: int) -> int:
             file=sys.stderr,
         )
         return EXIT_SUITE
-    tol = _TOL if args.tol is None else args.tol
-    report = run_suite(args.suite, args.trials, args.seed, tol, guard)
+    given = {"trials": args.trials, "seed": args.seed, "tol": args.tol}
+    params = {k: v for k, v in given.items() if v is not None}
+    report = run_suite(args.suite, guard=guard, **params)
     text = "\n".join(report.lines())
     _emit(text, args.output)
     return EXIT_OK if report.passed else 1

@@ -4,12 +4,15 @@ and iterative Fréchet sample means.
 All operations here use the dot edit score; the induced metric is the
 quotient metric of the permutation action, so representation-level averaging
 (after optimal alignment) is legitimate and is what the midpoint and mean
-constructions rely on.
+constructions rely on.  Graphs are padded with null nodes to a common order
+(``bound`` padding): ``order``, or by default the larger order of each pair
+(of all inputs, in ``sample_mean``).  Under one fixed order, distances across
+a whole collection form a metric.  ``order`` and ``guard`` are taken as by
+``kernels.edit_kernel``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,7 +36,6 @@ from .orbits import (
 )
 
 __all__ = [
-    "GraphSpaceConfig",
     "kernel_value",
     "metric",
     "scalar_mult",
@@ -48,42 +50,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GraphSpaceConfig:
-    """Shared settings for all graphs entering one geometric computation.
-
-    The edit score is always ``DOT``: the geometry is that of the quotient
-    metric, which the dot score induces.  Graphs are padded with null nodes
-    to a common order (``bound`` padding): ``order``, or by default the
-    larger order of each pair (of all inputs, in ``sample_mean``).  Under one
-    fixed order, distances across a whole collection form a metric.
-    """
-
-    order: int | None = None
-    guard: int = DEFAULT_ORDER_GUARD
-
-
-_DEFAULT = GraphSpaceConfig()
-
-
-def _cfg(config: GraphSpaceConfig | None) -> GraphSpaceConfig:
-    return _DEFAULT if config is None else config
-
-
 def kernel_value(
-    x: AttributedGraph, y: AttributedGraph, config: GraphSpaceConfig | None = None
+    x: AttributedGraph,
+    y: AttributedGraph,
+    order: int | None = None,
+    guard: int = DEFAULT_ORDER_GUARD,
 ) -> float:
     """Edit kernel over the full group: max over gamma of <x, gamma y>."""
-    cfg = _cfg(config)
-    return edit_kernel(x, y, DOT, "all", "bound", cfg.order, cfg.guard).value
+    return edit_kernel(x, y, DOT, "all", "bound", order, guard).value
 
 
 def metric(
-    x: AttributedGraph, y: AttributedGraph, config: GraphSpaceConfig | None = None
+    x: AttributedGraph,
+    y: AttributedGraph,
+    order: int | None = None,
+    guard: int = DEFAULT_ORDER_GUARD,
 ) -> float:
     """The induced metric: min over gamma of ||x - gamma y||."""
-    cfg = _cfg(config)
-    return induced_metric(x, y, DOT, "bound", cfg.order, cfg.guard)
+    return induced_metric(x, y, DOT, "bound", order, guard)
 
 
 def scalar_mult(lam: float, x: AttributedGraph) -> AttributedGraph:
@@ -106,44 +90,52 @@ def length(x: AttributedGraph) -> float:
 
 
 def angle_cosine(
-    x: AttributedGraph, y: AttributedGraph, config: GraphSpaceConfig | None = None
+    x: AttributedGraph,
+    y: AttributedGraph,
+    order: int | None = None,
+    guard: int = DEFAULT_ORDER_GUARD,
 ) -> float:
     """Cosine of the angle between nonzero graphs: kernel / (length*length)."""
     lx, ly = length(x), length(y)
     if lx == 0.0 or ly == 0.0:
         raise ValueError("angle undefined for zero-length graphs")
-    c = kernel_value(x, y, config) / (lx * ly)
+    c = kernel_value(x, y, order, guard) / (lx * ly)
     return min(1.0, max(-1.0, c))
 
 
 def is_orthogonal(
     x: AttributedGraph,
     y: AttributedGraph,
-    config: GraphSpaceConfig | None = None,
+    order: int | None = None,
+    guard: int = DEFAULT_ORDER_GUARD,
     tol: float = 1e-9,
 ) -> bool:
-    return abs(kernel_value(x, y, config)) <= tol
+    return abs(kernel_value(x, y, order, guard)) <= tol
 
 
 def is_orthogonal_to_set(
     x: AttributedGraph,
     graphs: Sequence[AttributedGraph],
-    config: GraphSpaceConfig | None = None,
+    order: int | None = None,
+    guard: int = DEFAULT_ORDER_GUARD,
     tol: float = 1e-9,
 ) -> bool:
     """True when the kernel with x is constant across the set (within tol)."""
-    values = [kernel_value(x, g, config) for g in graphs]
+    values = [kernel_value(x, g, order, guard) for g in graphs]
     if len(values) < 2:
         return True
     return max(values) - min(values) <= tol
 
 
 def cauchy_schwarz_gap(
-    x: AttributedGraph, y: AttributedGraph, config: GraphSpaceConfig | None = None
+    x: AttributedGraph,
+    y: AttributedGraph,
+    order: int | None = None,
+    guard: int = DEFAULT_ORDER_GUARD,
 ) -> float:
     """length(x)*length(y) - |kernel(x,y)|; nonnegative, zero for positively
     dependent pairs."""
-    return length(x) * length(y) - abs(kernel_value(x, y, config))
+    return length(x) * length(y) - abs(kernel_value(x, y, order, guard))
 
 
 def _graph_of(cells: np.ndarray, directed: bool) -> AttributedGraph:
@@ -151,7 +143,10 @@ def _graph_of(cells: np.ndarray, directed: bool) -> AttributedGraph:
 
 
 def midpoint(
-    x: AttributedGraph, y: AttributedGraph, config: GraphSpaceConfig | None = None
+    x: AttributedGraph,
+    y: AttributedGraph,
+    order: int | None = None,
+    guard: int = DEFAULT_ORDER_GUARD,
 ) -> AttributedGraph:
     """Geodesic midpoint: average of optimally aligned representations.
 
@@ -161,8 +156,7 @@ def midpoint(
     """
     if x.directed != y.directed:
         raise ValueError("midpoint requires a common directedness")
-    cfg = _cfg(config)
-    xm, ym = _prepare(x, y, "bound", cfg.order, cfg.guard)
+    xm, ym = _prepare(x, y, "bound", order, guard)
     aligned = apply_action(min_sq_over_group(xm.cells, ym.cells).witness, ym)
     return _graph_of((xm.cells + aligned.cells) / 2.0, x.directed)
 
@@ -177,7 +171,8 @@ class MeanResult(NamedTuple):
 def sample_mean(
     graphs: Sequence[AttributedGraph],
     max_iter: int = 100,
-    config: GraphSpaceConfig | None = None,
+    order: int | None = None,
+    guard: int = DEFAULT_ORDER_GUARD,
 ) -> MeanResult:
     """Fréchet sample mean by alternating alignment and averaging.
 
@@ -194,16 +189,15 @@ def sample_mean(
     """
     if not graphs:
         raise ValueError("sample_mean requires at least one graph")
-    cfg = _cfg(config)
     directed = graphs[0].directed
     dim = graphs[0].dim
     for g in graphs:
         if g.directed != directed or g.dim != dim:
             raise ValueError("graphs must share directedness and attribute dimension")
-    n = cfg.order if cfg.order is not None else max(g.order for g in graphs)
+    n = order if order is not None else max(g.order for g in graphs)
     if n < max(g.order for g in graphs):
         raise ValueError("configured order below the largest input graph")
-    check_order_guard(n, cfg.guard)
+    check_order_guard(n, guard)
     mats = [to_matrix(pad_to_order(g, n)) for g in graphs]
 
     # A graph is at squared distance exactly 0.0 from itself, first reached

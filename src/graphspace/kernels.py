@@ -147,11 +147,18 @@ def _score_table(x: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _cost_table(x: np.ndarray, y: np.ndarray, cost: EditCost) -> np.ndarray:
-    """The cell-pair table of a Python cost: n**4 calls, one per cell pair."""
+    """The cell-pair table of a Python cost: n**4 calls, one per cell pair.
+
+    A NaN cost has no place in a minimum, so it is rejected with its cells.
+    """
     n, d = x.shape[0], x.shape[2]
     ys = [tuple(c) for c in y.reshape(n * n, d)]
-    table = [[cost(tuple(a), b) for b in ys] for a in x.reshape(n * n, d)]
-    return np.array(table, dtype=np.float64).reshape(n, n, n * n)
+    table = np.array([[cost(tuple(a), b) for b in ys] for a in x.reshape(n * n, d)])
+    bad = np.argwhere(np.isnan(table))
+    if len(bad):
+        k, l = (divmod(int(c), n) for c in bad[0])
+        raise ValueError(f"edit cost is NaN for x cell {k} and y cell {l}")
+    return table.reshape(n, n, n * n)
 
 
 def _compact_mask(block: np.ndarray, rx: int, ry: int) -> np.ndarray:

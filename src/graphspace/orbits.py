@@ -471,11 +471,6 @@ def _permutation(row: np.ndarray) -> Permutation:
     return Permutation(tuple(int(v) for v in row))
 
 
-def _fixing(x: GraphMatrix, chunk: _Chunk, equal: np.ndarray) -> np.ndarray:
-    """Mask of the feasible rows that fix x: all n*n cells stay equal."""
-    return chunk.totals(equal) == x.n * x.n
-
-
 def _equal_table(x: GraphMatrix) -> np.ndarray:
     """Cell-pair table of x against itself: 1 where two cells are equal."""
     c = x.cells.reshape(x.n * x.n, x.dim)
@@ -486,19 +481,21 @@ def _equal_table(x: GraphMatrix) -> np.ndarray:
 def isotropy_group(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> tuple[Permutation, ...]:
     """All permutations fixing x exactly; always contains the identity."""
     check_order_guard(x.n, guard)
-    equal = _equal_table(x)
+    equal = _equal_table(x)  # p fixes x when all n*n cells stay equal
     return tuple(
         _permutation(p)
         for chunk in _chunks(x.n)
-        for p in chunk.perms(np.flatnonzero(_fixing(x, chunk, equal)))
+        for p in chunk.perms(np.flatnonzero(chunk.totals(equal) == x.n * x.n))
     )
 
 
 def is_ordinary(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> bool:
-    """True iff only the identity fixes x (trivial isotropy group)."""
+    """True iff only the identity fixes x (trivial isotropy group): every
+    other permutation leaves fewer than n*n cells equal.  With no other
+    permutation (n <= 1) the best count is -inf."""
     check_order_guard(x.n, guard)
-    equal = _equal_table(x)
-    return not any(_fixing(x, chunk, equal).any() for chunk in _chunks(x.n, non_identity))
+    best = optimum(_equal_table(x), maximize=True, feasible=non_identity).value
+    return best < x.n * x.n
 
 
 class Witnessed(NamedTuple):

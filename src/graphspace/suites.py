@@ -1,13 +1,16 @@
 """Named verification suites wired to the CLI ``check`` command.
 
-Each suite samples graphs with a seeded generator, exercises library
-operations against their stated properties (and, where one exists, against
-the exhaustive oracle), and reports one pass/fail line per property.  The
-suites contain no independent math of their own.
+Each suite samples graphs with a seeded generator (``mcs`` walks a fixed
+catalog and compares exact integers), exercises library operations against
+their stated properties (and, where one exists, against the exhaustive
+oracle), and reports one pass/fail line per property.  A suite declares only
+the parameters it uses, each with its default.  The suites contain no
+independent math of their own.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -15,13 +18,7 @@ import numpy as np
 
 from . import bruteforce
 from .alignment import Alignment
-from .geometry import (
-    GraphSpaceConfig,
-    cauchy_schwarz_gap,
-    kernel_value,
-    sample_mean,
-    scalar_mult,
-)
+from .geometry import cauchy_schwarz_gap, kernel_value, sample_mean, scalar_mult
 from .graphs import AttributedGraph, GraphMatrix, from_matrix, pad_to_order, to_matrix
 from .kernels import DOT, induced_metric, mcs_kernel
 from .orbits import (
@@ -124,7 +121,6 @@ def suite_metric(trials=200, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD) -> Sui
 
 def suite_cauchy_schwarz(trials=500, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD) -> SuiteReport:
     rng = np.random.default_rng(seed)
-    cfg = GraphSpaceConfig(guard=guard)
     min_gap = math.inf
     eq_worst = 0.0
     for t in range(trials):
@@ -132,10 +128,11 @@ def suite_cauchy_schwarz(trials=500, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD
         directed = bool(rng.integers(0, 2))
         x = random_graph(rng, int(rng.integers(1, 5)), dim, directed=directed)
         y = random_graph(rng, int(rng.integers(1, 5)), dim, directed=directed)
-        min_gap = min(min_gap, cauchy_schwarz_gap(x, y, cfg))
+        min_gap = min(min_gap, cauchy_schwarz_gap(x, y, guard=guard))
         if t % 5 == 0:
             for lam in (0.5, 2.0, 7.0):
-                eq_worst = max(eq_worst, abs(cauchy_schwarz_gap(x, scalar_mult(lam, x), cfg)))
+                gap = cauchy_schwarz_gap(x, scalar_mult(lam, x), guard=guard)
+                eq_worst = max(eq_worst, abs(gap))
     report = SuiteReport("cauchy-schwarz")
     report.results.append(
         PropertyResult("gap_nonnegative", min_gap >= -tol, max(0.0, -min_gap))
@@ -148,16 +145,15 @@ def suite_cauchy_schwarz(trials=500, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD
 
 def suite_homogeneity(trials=100, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD) -> SuiteReport:
     rng = np.random.default_rng(seed)
-    cfg = GraphSpaceConfig(guard=guard)
     worst = 0.0
     for _ in range(trials):
         dim = int(rng.integers(1, 3))
         directed = bool(rng.integers(0, 2))
         x = random_graph(rng, int(rng.integers(1, 5)), dim, directed=directed)
         y = random_graph(rng, int(rng.integers(1, 5)), dim, directed=directed)
-        base = kernel_value(x, y, cfg)
+        base = kernel_value(x, y, guard=guard)
         for lam in (0.5, 1.0, 2.0, 7.0):
-            scaled = kernel_value(x, scalar_mult(lam, y), cfg)
+            scaled = kernel_value(x, scalar_mult(lam, y), guard=guard)
             worst = max(worst, abs(scaled - lam * base) / (1.0 + abs(lam * base)))
     report = SuiteReport("homogeneity")
     report.results.append(PropertyResult("positive_homogeneity", worst <= tol, worst))
@@ -282,8 +278,7 @@ def suite_cone(trials=100, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD) -> Suite
     return report
 
 
-def suite_mcs(trials=0, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD) -> SuiteReport:
-    del trials, seed, tol  # fixed catalog, exact integers
+def suite_mcs(guard=DEFAULT_ORDER_GUARD) -> SuiteReport:
     catalog = unit_catalog(4)
     worst = 0
     consistent = True
@@ -325,7 +320,7 @@ def suite_mean(trials=50, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD) -> SuiteR
     hits = 0
     for t in range(trials):
         graphs = _mean_triple(rng, clustered=t % 2 == 0)
-        result = sample_mean(graphs, max_iter=60, config=GraphSpaceConfig(guard=guard))
+        result = sample_mean(graphs, max_iter=60, guard=guard)
         for a, b in zip(result.trace, result.trace[1:]):
             if b > a + 1e-12:
                 monotone_ok = False
@@ -351,7 +346,7 @@ def suite_mean(trials=50, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD) -> SuiteR
     return report
 
 
-def suite_ordinary(trials=1000, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD) -> SuiteReport:
+def suite_ordinary(trials=1000, seed=0, guard=DEFAULT_ORDER_GUARD) -> SuiteReport:
     rng = np.random.default_rng(seed)
     ordinary = sum(
         1
@@ -393,27 +388,14 @@ SUITES = {
 
 SUITE_NAMES = tuple(SUITES)
 
-_DEFAULT_TRIALS = {
-    "metric": 200,
-    "cauchy-schwarz": 500,
-    "homogeneity": 100,
-    "wgrt": 100,
-    "cone": 100,
-    "mcs": 0,
-    "mean": 50,
-    "ordinary": 1000,
-}
 
-
-def run_suite(
-    name: str,
-    trials: int | None = None,
-    seed: int = 0,
-    tol: float = 1e-9,
-    guard: int = DEFAULT_ORDER_GUARD,
-) -> SuiteReport:
+def run_suite(name: str, **params) -> SuiteReport:
+    """Run the named suite with ``params`` in place of its defaults; a
+    parameter the suite does not declare raises ValueError."""
     if name not in SUITES:
         raise KeyError(name)
-    if trials is None:
-        trials = _DEFAULT_TRIALS[name]
-    return SUITES[name](trials=trials, seed=seed, tol=tol, guard=guard)
+    suite = SUITES[name]
+    extra = sorted(set(params) - set(inspect.signature(suite).parameters))
+    if extra:
+        raise ValueError(f"suite {name!r} does not take {', '.join(extra)}")
+    return suite(**params)

@@ -7,6 +7,7 @@ import pytest
 
 from graphspace import length, serialize_graph
 from graphspace.sampling import random_graph
+from graphspace.suites import run_suite
 
 
 def run_cli(*args, env=None):
@@ -177,6 +178,11 @@ def test_check_suites_honour_guard(suite):
     assert res.returncode == 2
 
 
+def test_run_suite_rejects_parameters_the_suite_does_not_take():
+    with pytest.raises(ValueError, match="seed"):
+        run_suite("mcs", seed=0)
+
+
 def test_check_is_byte_deterministic():
     args = ("check", "--suite", "metric", "--trials", "40", "--seed", "7")
     first, second = run_cli(*args), run_cli(*args)
@@ -205,6 +211,10 @@ def test_gram_is_byte_deterministic(graph_files):
         ("gram", "a.json", "--kind", "kernel", "--tol", "1e-6"),
         ("dist", "a.json", "a.json", "--pad", "pairwise-sum", "--order", "5"),
         ("gram", "a.json", "--pad", "pairwise-sum", "--order", "5"),
+        ("check", "--suite", "mcs", "--trials", "5"),
+        ("check", "--suite", "mcs", "--seed", "1"),
+        ("check", "--suite", "mcs", "--tol", "1e-3"),
+        ("check", "--suite", "ordinary", "--tol", "1e-3"),
     ],
 )
 def test_usage_errors_exit_1(graph_files, args):

@@ -5,7 +5,6 @@ import pytest
 
 from graphspace import (
     AttributedGraph,
-    GraphSpaceConfig,
     angle_cosine,
     cauchy_schwarz_gap,
     exhaustive_mean_optimum,
@@ -112,11 +111,10 @@ def test_midpoint_bisects_random_pairs():
         x = random_graph(rng, int(rng.integers(1, 5)), dim, directed=directed)
         y = random_graph(rng, int(rng.integers(1, 5)), dim, directed=directed)
         n = max(x.order, y.order)
-        cfg = GraphSpaceConfig(order=n)
-        m = midpoint(x, y, cfg)
-        half = metric(x, y, cfg) / 2.0
-        assert abs(metric(x, m, cfg) - half) <= 1e-9
-        assert abs(metric(m, y, cfg) - half) <= 1e-9
+        m = midpoint(x, y, order=n)
+        half = metric(x, y, order=n) / 2.0
+        assert abs(metric(x, m, order=n) - half) <= 1e-9
+        assert abs(metric(m, y, order=n) - half) <= 1e-9
 
 
 def test_midpoint_requires_common_directedness():

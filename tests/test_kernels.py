@@ -191,6 +191,16 @@ def test_general_ged_custom_cost_matches_uniform():
         assert general_ged(x, y, fn).value == general_ged(x, y, EditCost.uniform()).value
 
 
+def test_general_ged_rejects_nan_custom_cost():
+    y = AttributedGraph(True, 1, [(0.0,), (0.0,), (1.0,)], [((0, 1), (3.0,))])
+    finite = EditCost.custom(lambda a, b: abs(a[0] - b[0]))
+    nan = EditCost.custom(lambda a, b: math.nan if (a, b) == ((2.0,), (3.0,)) else finite(a, b))
+    for cls in ("all", "compact"):
+        assert general_ged(ARROW2, y, finite, cls) == (2.0, Permutation.identity(3))
+        with pytest.raises(ValueError, match=r"x cell \(0, 1\) and y cell \(0, 1\)"):
+            general_ged(ARROW2, y, nan, cls)
+
+
 def test_mcs_kernel_examples():
     same = mcs_kernel(TRIANGLE, TRIANGLE)
     assert same == (9, 3, 3)

@@ -11,9 +11,10 @@ cycles and stars, graphs padded up to a fixed order, relabelled copies, and
 integers at the edge of the engine's exactness certificate, plus 1e160- and
 0.1-scaled copies), and call the kernels, metrics, isotropy checks,
 alignments and means of the package (a custom edit cost at orders up to 6,
-and up to 9 for d = 1); ``gram`` CSVs of both kinds are compared byte for
-byte.  Inputs are built with numpy here, not with the trees' own
-samplers, so both trees see the same graphs.
+and up to 9 for d = 1); ``gram`` CSVs of both kinds, and the stdout and exit
+code of ``check`` for every suite, are compared byte for byte.  Inputs are
+built with numpy here, not with the trees' own samplers, so both trees see
+the same graphs.
 
 Exit status 0 when every result is identical, 1 otherwise (the differing
 cases are listed).
@@ -21,6 +22,8 @@ cases are listed).
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -31,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 FAMILIES = ("gauss", "int", "unit", "padded", "relabelled", "edge")
+SUITES = ("metric", "cauchy-schwarz", "homogeneity", "wgrt", "cone", "mcs", "mean", "ordinary")
 
 
 def _canon(value):
@@ -167,6 +171,15 @@ def _gram_cases(gs, cli):
                 yield f"gram n={n} d={d} k={k} {kind}", [code, text]
 
 
+def _check_cases(cli):
+    for suite in SUITES:
+        flags = [] if suite == "mcs" else ["--trials", "4", "--seed", "3"]  # mcs takes none
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["check", "--suite", suite, *flags])
+        yield f"check {suite} {' '.join(flags)}".rstrip(), [code, out.getvalue()]
+
+
 def emit(src: str) -> None:
     sys.path.insert(0, src)
     import graphspace as gs
@@ -178,7 +191,7 @@ def emit(src: str) -> None:
         except Exception as exc:  # a raised error is a result too
             result = f"raises {type(exc).__name__}"
         print(json.dumps([label, result]), flush=True)
-    for label, result in _gram_cases(gs, cli):
+    for label, result in (*_gram_cases(gs, cli), *_check_cases(cli)):
         print(json.dumps([label, result]), flush=True)
 
 
