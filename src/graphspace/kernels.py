@@ -126,16 +126,17 @@ class EditCost:
 
 
 def _cell_scores(g: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
-    """Per-cell scores of x's cells g against y's, broadcast over (..., d) cells."""
+    """Per-cell integer scores (0, 1 or 2) of x's cells g against y's,
+    broadcast over (..., d) cells."""
     if kind == "delta":
-        return (np.all(g == y, axis=-1) & np.any(y != 0.0, axis=-1)).astype(np.float64)
+        return np.all(g == y, axis=-1) & np.any(y != 0.0, axis=-1)
     if kind == "cost-delta":
         nn_g = np.any(g != 0.0, axis=-1)
         nn_y = np.any(y != 0.0, axis=-1)
         eq = np.all(g == y, axis=-1)
-        return (nn_g.astype(np.int64) + nn_y - 2 * (eq & nn_y)).astype(np.float64)
+        return nn_g.astype(np.int64) + nn_y - 2 * (eq & nn_y)
     if kind == "uniform":
-        return (~np.all(g == y, axis=-1)).astype(np.float64)
+        return ~np.all(g == y, axis=-1)
     raise ValueError(f"unknown score kind {kind!r}")
 
 
@@ -208,10 +209,16 @@ def transformation_cost(
         return float(np.einsum("ijc,ijc->", diff, diff))
     if cost.kind in _COST_KINDS:
         return float(_cell_scores(gy.cells, x.cells, _COST_KINDS[cost.kind]).sum())
-    # cell by cell in (k, l) order, as general_ged totals a custom cost
+    # cell by cell in (k, l) order, as general_ged totals a custom cost, and
+    # a NaN cost is rejected with its cells, as general_ged rejects it
+    q = perm.inverse().images  # (gamma y)[k, l] = y[q_k, q_l]
     total = 0.0
-    for a, b in zip(x.cells.reshape(-1, x.dim), gy.cells.reshape(-1, x.dim)):
-        total += cost(tuple(a), tuple(b))
+    for c, (a, b) in enumerate(zip(x.cells.reshape(-1, x.dim), gy.cells.reshape(-1, x.dim))):
+        value = cost(tuple(a), tuple(b))
+        if math.isnan(value):
+            k, l = divmod(c, x.n)
+            raise ValueError(f"edit cost is NaN for x cell {(k, l)} and y cell {(q[k], q[l])}")
+        total += value
     return total
 
 

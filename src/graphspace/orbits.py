@@ -60,9 +60,15 @@ The scan is memory-bounded and never materialises the whole group:
   per chunk its relabelled tables (1.3 MB at n = 9), the totals of its
   rows with one read row beside them (2 * 5040 * 24 * 8 bytes, 1.9 MB),
   and at most _RESCORE re-scored rows; about 5 MB in all, at any order.
+  Totals are taken in the table's dtype, and reading the entries is most
+  of a scan's time, bound by memory traffic, so a float32 table halves
+  the relabelled tables and the totals, and the bytes a scan reads.
 * Exact totals.  Scores with integer values per cell (the delta kernel and
   cost, the uniform cost, the cell-equality count behind ``isotropy_group``)
-  total exactly in any order, so their folded totals are the reference
+  are 0, 1 or 2, so a total is at most 2 n*n (162 at n = 9) and every
+  partial sum, in any order, is an integer that float32's 24-bit
+  significand holds exactly.  ``_Chunk.totals`` therefore totals boolean
+  and integer tables in float32, and their folded totals are the reference
   totals.  A custom cost's values are arbitrary floats, whose sum depends
   on the order of its additions, so its totals add each row's n*n entries
   one at a time, left to right in cell order; that is the order in which
@@ -71,10 +77,13 @@ The scan is memory-bounded and never materialises the whole group:
   N (max|x| + max|y|)^2 < 2^53 (N = n*n*d), every sum over their cells is
   exact and the table inner products are the reference values, so the scan
   is an ``optimum`` of that table, and the metric ||x||^2 + ||y||^2 - 2
-  times its value.  Otherwise they only rank: rows within a forward-error
-  bound of a chunk's best are re-scored in the reference form (derivation
-  in ``min_sq_over_group``), so values and witnesses are those of a
-  reference scan of every row.
+  times its value; below 2^24 the sums are exact in float32 too, and the
+  table is cast to it.  Otherwise they only rank: rows within a
+  forward-error bound of a chunk's best are re-scored in the reference form
+  (derivation in ``min_sq_over_group``), so values and witnesses are those
+  of a reference scan of every row.  Inside the window
+  2^-100 < (||x|| + ||y||)^2 < 2^100 the ranking totals are float32, with
+  the bound derived for float32 rounding; outside it they are float64.
 
 Permutations are enumerated in lexicographic order of their image sequences,
 and every "return one minimizer/maximizer" contract below breaks ties toward
@@ -250,7 +259,7 @@ def _fold(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     other = flat[:, mirror]
     other[:, diagonal] = 0.0
     pairs = flat[:, direct] + other
-    const = np.zeros(c)
+    const = np.zeros(c, dtype=rel.dtype)
     if k:
         s = rel.reshape(c, n, n, n, n)
         const = np.einsum("cijij->c", s[:, :k, :k, :k, :k])
@@ -359,7 +368,9 @@ class _Chunk(NamedTuple):
         return _permutation(self.perms(np.array([i]))[0])
 
     def totals(self, table: np.ndarray, in_order: bool = False) -> np.ndarray:
-        """Per feasible row p, sum over cells k = (i, j) of table[p_i, p_j, k].
+        """Per feasible row p, sum over cells k = (i, j) of table[p_i, p_j, k],
+        in the table's dtype, or in float32 for a boolean or integer table
+        of scores (exact: see "Exact totals" in the module docstring).
 
         By default the table is relabelled by every block at once and folded
         (``_fold``), and a row's total is its block's constant plus its
@@ -369,11 +380,13 @@ class _Chunk(NamedTuple):
         and adds them one at a time, left to right in cell order, the one
         order that defines a total of arbitrary floats here.
         """
+        if table.dtype.kind in "biu":
+            table = table.astype(np.float32)
         sig = self.sigmas
         n = sig.shape[1]
         if in_order:
             cell = np.arange(n * n).reshape(n, n)
-            total = np.zeros((len(sig), len(_base(n))))
+            total = np.zeros((len(sig), len(_base(n))), dtype=table.dtype)
             for t, sigma in zip(total, sig):
                 p = sigma[_base(n)]
                 entries = table[p[:, :, None], p[:, None, :], cell].reshape(len(p), n * n)
@@ -434,7 +447,7 @@ def _chunks(
         if feasible is None:
             yield _Chunk(sigmas, None)
             continue
-        rows = sigmas.astype(narrow)[:, base].reshape(len(sigmas) * len(base), n)
+        rows = np.take(sigmas.astype(narrow), base, axis=1).reshape(len(sigmas) * len(base), n)
         mask = feasible(rows).reshape(len(sigmas), -1)
         live = mask.any(axis=1)
         if not live.all():
@@ -472,10 +485,10 @@ def _permutation(row: np.ndarray) -> Permutation:
 
 
 def _equal_table(x: GraphMatrix) -> np.ndarray:
-    """Cell-pair table of x against itself: 1 where two cells are equal."""
+    """Cell-pair table of x against itself: True where two cells are equal."""
     c = x.cells.reshape(x.n * x.n, x.dim)
     eq = np.all(c[:, None, :] == c[None, :, :], axis=-1)
-    return eq.astype(np.float64).reshape(x.n, x.n, x.n * x.n)
+    return eq.reshape(x.n, x.n, x.n * x.n)
 
 
 def isotropy_group(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> tuple[Permutation, ...]:
@@ -515,7 +528,8 @@ def optimum(
 
     ``table`` is an (n, n, n*n) cell-pair table; the total of p is the sum
     over cells k = (i, j) of table[p_i, p_j, k] (see ``_Chunk.totals`` for
-    ``in_order``).  Ties break toward the lexicographically smallest
+    ``in_order``), in the dtype ``_Chunk.totals`` takes; the value is a
+    Python float.  Ties break toward the lexicographically smallest
     permutation.  The witness is None only when no permutation is feasible;
     the value is then -inf when maximizing and inf when minimizing.
     """
@@ -529,16 +543,18 @@ def optimum(
     return Witnessed(best, witness)
 
 
-def _integral(x: np.ndarray, y: np.ndarray) -> bool:
-    """True when x and y hold integers with N (max|x| + max|y|)^2 < 2^53:
-    then every sum of products or squared differences of their cells, in
-    any order, is exact."""
+def _integral(x: np.ndarray, y: np.ndarray) -> int | None:
+    """N (max|x| + max|y|)^2 when x and y hold integers and it is below
+    2^53, else None.  Below 2^b, every sum of products or squared
+    differences of their cells, in any order, is exact in a float format
+    with a b-bit significand (53 in float64, 24 in float32)."""
     s = float(np.abs(x).max(initial=0.0) + np.abs(y).max(initial=0.0))
     if not s < 2.0**27:  # bounds s before squaring; false for inf and nan
-        return False
+        return None
     if not (np.array_equal(x, np.trunc(x)) and np.array_equal(y, np.trunc(y))):
-        return False
-    return x.size * int(s) ** 2 < 2**53
+        return None
+    bound = x.size * int(s) ** 2
+    return bound if bound < 2**53 else None
 
 
 def _near_best(ip: np.ndarray, eps: float) -> np.ndarray:
@@ -553,10 +569,12 @@ def _inner_scan(
 ) -> Witnessed:
     """``min_sq_over_group`` if metric, else ``max_inner_over_group``.
 
-    Under ``_integral`` the table inner products <g, y> are exact and
-    ``optimum`` decides; ||x||^2 + ||y||^2 - 2<g, y> is then exact too and
-    strictly decreasing in <g, y>.  Otherwise one loop re-scores each
-    chunk's shortlist in the reference form.
+    Under ``_integral`` the table inner products <g, y> are exact (in
+    float32 below 2^24) and ``optimum`` decides; ||x||^2 + ||y||^2 -
+    2<g, y> is then exact too and strictly decreasing in <g, y>.
+    Otherwise one loop re-scores each chunk's shortlist in the reference
+    form, ranked by float32 totals inside the window and by float64
+    totals outside it (``min_sq_over_group``).
     """
     xx, yy = np.einsum("ijc,ijc->", x, x), np.einsum("ijc,ijc->", y, y)
     r = math.sqrt(xx) + math.sqrt(yy)
@@ -565,11 +583,18 @@ def _inner_scan(
         n, d = x.shape[0], x.shape[2]
         pairs = np.einsum("ac,kc->ak", x.reshape(n * n, d), y.reshape(n * n, d))
         table = pairs.reshape(n, n, n * n)
-    if _integral(x, y):
+    bound = _integral(x, y)
+    if bound is not None:
+        if bound < 2**24:
+            table = table.astype(np.float32)
         best, witness = optimum(table, maximize=True, feasible=feasible)
         return Witnessed(float(xx + yy) - 2.0 * best if metric else best, witness)
     terms = y.size + 3
-    eps = 4.0 * terms * 2.0**-53 * r * r + terms * 2.0**-1070
+    if terms < 2**20 and 2.0**-100 < r * r < 2.0**100:
+        table = table.astype(np.float32)
+        eps = 4.0 * terms * 2.0**-24 * r * r + terms * 2.0**-149
+    else:
+        eps = 4.0 * terms * 2.0**-53 * r * r + terms * 2.0**-1070
     if metric:
         def form(g: np.ndarray) -> np.ndarray:
             diff = g - y
@@ -650,8 +675,43 @@ def min_sq_over_group(
     finite; beyond that (or with non-finite attributes) every row is
     re-scored.  When ``_integral`` certifies x and y, the inner products
     and ||x||^2 + ||y||^2 - 2<g, y> are exact, equal to the diff form, and
-    no row is re-scored.  Re-scoring runs _RESCORE rows at a time, so a
-    chunk of ties gathers no full block.
+    no row is re-scored; when ``_integral``'s bound is below 2^24 the table
+    is float32, and its sums are exact there too.  Re-scoring runs _RESCORE
+    rows at a time, so a chunk of ties gathers no full block.
+
+    Float32 totals.  While 2^-100 < R^2 < 2^100 and N + 3 < 2^20, the
+    table is cast to float32, its totals are float32 sums, and the same
+    argument holds with u = 2^-24 (float64 steps round by at most
+    2^-53 < u):
+
+    * a table entry adds the d float64 products of one cell pair, and its
+      cast to float32 rounds once more, by a relative u or, below 2^-126,
+      by an absolute 2^-150 at most; a row total adds its n*n entries with
+      n*n - 1 float32 additions, which are exact where they underflow.  So
+      each product carries at most d + n*n <= N + 1 relative roundings:
+      |T(g) - <g, y>| <= gamma_(N+1) R^2 / 4 + n*n 2^-150 (1 + gamma_(n*n))
+      + N 2^-1074, the last term for products that underflow in float64;
+    * if g scores no worse than h in the diff form, <h, y> - <g, y> <=
+      gamma64_(N+2) R^2 (the float64 bound above, gamma64 at 2^-53, a
+      fraction 2^-29 of gamma), so T(h) - T(g) <= (0.5 + 2^-29)
+      gamma_(N+2) R^2 + n*n 2^-149 (1 + gamma_(n*n)) + N 2^-1073; the
+      reference dot gives less;
+    * the threshold is fl32(fl32(max) - fl32(eps)): eps rounds to float32
+      by a relative u (it exceeds 2^-120, so it is normal), and the
+      difference by u |max - eps| <= u (R^2 / 4 (1 + gamma_(N+1)) + eps
+      (1 + u)).  So it lies at most eps (2u + u^2) + u R^2 / 4 (1 +
+      gamma_(N+1)) above max - eps.
+
+    With N + 3 < 2^20, gamma_(N+2) <= 1.07 (N + 2) u, and the shortlist
+    keeps every row that can win while eps (1 - 2u - u^2) exceeds
+    0.55 (N + 2) u R^2 + 0.27 u R^2 plus the underflow terms, at most
+    1.07 n*n 2^-149 + N 2^-1073.  eps = 4 (N + 3) u R^2 + (N + 3) 2^-149
+    does: n*n <= N, and its first term exceeds its share by more than
+    3 N u R^2 > 3 N 2^-124.  No float32 sum overflows: every partial sum is
+    at most R^2 / 4 (1 + gamma_(N+1)) < 2^99 in magnitude, and eps < 2^98.
+    The lower end of the window keeps the underflow term below 2^-27 of
+    the rounding term, so float32 shortlists stay as short as float64's;
+    outside the window the table stays float64.
     """
     return _inner_scan(x, y, feasible, metric=True)
 

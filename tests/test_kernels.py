@@ -201,6 +201,21 @@ def test_general_ged_rejects_nan_custom_cost():
             general_ged(ARROW2, y, nan, cls)
 
 
+def test_transformation_cost_rejects_nan_custom_cost():
+    # The per-bijection reference rejects a NaN cost as general_ged does,
+    # naming the x cell and the y cell (before the action) it compared.
+    x, y = to_matrix(ARROW2), to_matrix(ARROW3)
+    finite = EditCost.custom(lambda a, b: abs(a[0] - b[0]))
+    nan = EditCost.custom(lambda a, b: math.nan if b == (3.0,) else finite(a, b))
+    identity, swap = Permutation.identity(2), Permutation((1, 0))
+    assert transformation_cost(x, y, identity, finite) == 1.0
+    assert transformation_cost(x, y, swap, finite) == 5.0
+    with pytest.raises(ValueError, match=r"x cell \(0, 1\) and y cell \(0, 1\)"):
+        transformation_cost(x, y, identity, nan)
+    with pytest.raises(ValueError, match=r"x cell \(1, 0\) and y cell \(0, 1\)"):
+        transformation_cost(x, y, swap, nan)
+
+
 def test_mcs_kernel_examples():
     same = mcs_kernel(TRIANGLE, TRIANGLE)
     assert same == (9, 3, 3)

@@ -322,20 +322,35 @@ def diff_form(x, y):
     return score
 
 
+# R^2 = (||x|| + ||y||)^2 just inside and just outside each edge of the
+# window 2^-100 < R^2 < 2^100 in which inner products rank in float32.
+WINDOW_EDGES = {
+    "low-inside": 2.0**-100 * 1.001,
+    "low-outside": 2.0**-100 / 1.001,
+    "high-inside": 2.0**100 / 1.001,
+    "high-outside": 2.0**100 * 1.001,
+}
+
+
 def _near_tie_pair(n, d, seed, kind, scale):
+    """x and y times scale; a WINDOW_EDGES name scales them to that R^2."""
     rng = np.random.default_rng(seed)
     if kind == "constant":
         x = np.full((n, n, d), rng.normal())
         y = x.copy()
     elif kind == "float":
         x, y = rng.normal(size=(2, n, n, d))
-    else:  # relabelled copy plus noise; "symmetric" starts from a unit cycle
+    else:  # relabelled copy plus noise; "symmetric" and "float32-ties" start
+        # from a unit cycle, and "float32-ties" takes noise near float32's 2^-24
         x = rng.normal(size=(n, n, d))
-        if kind == "symmetric":
+        if kind in ("symmetric", "float32-ties"):
             x = to_matrix(unit_cycle(n)).cells * x[0, 0] if n >= 3 else x
+        noise = 2.0**-24 if kind == "float32-ties" else 1e-13
         p = rng.permutation(n)
-        y = x[np.ix_(p, p)] + 1e-13 * rng.normal(size=x.shape)
-        x = x + 1e-13 * rng.normal(size=x.shape)
+        y = x[np.ix_(p, p)] + noise * rng.normal(size=x.shape)
+        x = x + noise * rng.normal(size=x.shape)
+    if scale in WINDOW_EDGES:
+        scale = math.sqrt(WINDOW_EDGES[scale]) / (np.linalg.norm(x) + np.linalg.norm(y))
     return x * scale, y * scale
 
 
@@ -343,8 +358,8 @@ NEAR_TIES = dict(
     n=st.integers(1, 8),
     d=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["float", "noisy-copy", "symmetric", "constant"]),
-    scale=st.sampled_from([1.0, 1e-150, 1e150, 1e160]),
+    kind=st.sampled_from(["float", "noisy-copy", "symmetric", "float32-ties", "constant"]),
+    scale=st.sampled_from([1.0, 1e-150, 1e150, 1e160, *WINDOW_EDGES]),
 )
 
 
@@ -412,25 +427,33 @@ TOTAL_KINDS = ("dot", "delta", "cost-delta", "uniform", "equality")
 def test_table_totals_equal_reference_totals(n, monkeypatch):
     # Chunks of 5 blocks leave a short last chunk at n = 8 and n = 9.  Small
     # integer attributes make every total exact, so the batched totals must
-    # equal the definitions bit for bit, per feasible row.
+    # equal the definitions bit for bit, per feasible row.  They are under
+    # the float32 certificate too, so every kind is totalled from a float32
+    # and a float64 table, each in its own dtype, and every integer kind
+    # from its table as built (boolean or integer), in float32.
     monkeypatch.setattr(orbits, "_CHUNK", 5)
     rng = np.random.default_rng(100 + n)
     d = 1 + n % 2 if n < 9 else 1
     x = rng.integers(-1, 3, size=(n, n, d)).astype(float)
     y = rng.integers(-1, 3, size=(n, n, d)).astype(float)
     y[:1] = 0.0  # null cells
-    tables = {kind: _table(kind, x, y) for kind in TOTAL_KINDS}
+    assert orbits._integral(x, y) < 2**24
+    tables = {(kind, dtype): _table(kind, x, y).astype(dtype)
+              for kind in TOTAL_KINDS for dtype in (np.float32, np.float64)}
+    tables |= {(kind, None): _table(kind, x, y) for kind in TOTAL_KINDS if kind != "dot"}
     cost = EditCost.custom(_cells_cost)
     custom = kernels._cost_table(x, y, cost) if n < 9 else None
     for name, feasible in _masks(n).items():
         for chunk in orbits._chunks(n, feasible):
-            got = {kind: chunk.totals(table) for kind, table in tables.items()}
+            got = {key: chunk.totals(table) for key, table in tables.items()}
             for start in range(0, chunk.count, 5040):
                 which = np.arange(start, min(start + 5040, chunk.count))
                 g = orbits.gather(x, chunk.perms(which))
-                for kind in TOTAL_KINDS:
+                for kind, dtype in tables:
                     ref = _ref_totals(kind, g, x, y)
-                    assert np.array_equal(got[kind][which], ref), (name, kind)
+                    total = got[kind, dtype]
+                    assert total.dtype == (dtype or np.float32), (name, kind)
+                    assert np.array_equal(total[which].astype(np.float64), ref), (name, kind, dtype)
         if custom is None:
             continue
         for chunk in orbits._chunks(n, feasible):
@@ -535,14 +558,17 @@ def dot_form(x, y):
 def _boundary_cells(rng, n, d, kind):
     """Integer cells at the edge of the exactness certificate
     N (max|x| + max|y|)^2 < 2^53, with max|x| = max|y| = m: the largest m
-    under the limit, one more, or twice it, where sums of squares round."""
-    m = math.isqrt((2**53 - 1) // (4 * n * n * d))
+    under the limit, one more, or twice it, where sums of squares round.
+    The kinds ending in 24 take the largest m under the float32 limit 2^24,
+    or one more, and put m in cell (0, 0), which padding keeps."""
+    limit = 2**24 if kind.endswith("24") else 2**53
+    m = math.isqrt((limit - 1) // (4 * n * n * d))
     if kind == "huge":  # nonnegative, so products overflow to +inf, never to nan
         x = rng.integers(0, 3, size=(n, n, d)) * 1e160
     else:
-        m = {"over": m + 1, "twice": 2 * m}.get(kind, m)
+        m = {"over": m + 1, "over24": m + 1, "twice": 2 * m}.get(kind, m)
         x = rng.integers(-m, m + 1, size=(n, n, d)).astype(float)
-        x.flat[rng.integers(x.size)] = m
+        x.flat[0 if limit == 2**24 else rng.integers(x.size)] = m
     p = rng.permutation(n)
     y = x[np.ix_(p, p)].copy()  # a relabelled copy, nudged: near-ties
     y.flat[rng.integers(y.size)] = -x.max() if kind != "huge" else 0.0
@@ -555,7 +581,7 @@ BOUNDARY = dict(
     n=st.integers(2, 7),
     d=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["under", "over", "twice", "half", "huge"]),
+    kind=st.sampled_from(["under", "over", "twice", "half", "huge", "under24", "over24"]),
 )
 
 
@@ -568,6 +594,8 @@ def test_dot_kernel_and_metric_match_reference_at_the_certificate_boundary(n, d,
     xg = from_matrix(GraphMatrix(x[:rx, :rx]), directed=True)
     yg = from_matrix(GraphMatrix(y), directed=True)
     xm, ym = matrices(xg, yg, n)
+    if kind.endswith("24"):  # the float32 certificate holds on one side only
+        assert (orbits._integral(xm, ym) < 2**24) == (kind == "under24")
     for morphisms, feasible in (("all", None), ("compact", compact(rx, ry))):
         res = edit_kernel(xg, yg, DOT, morphisms, order=n)
         ref = ref_optimum(n, dot_form(xm, ym), True, feasible)
@@ -601,11 +629,50 @@ def test_infeasible_scan_has_no_witness(n, kind):
         x, y = (rng.integers(-1, 3, size=(n, n, 2)).astype(float) for _ in range(2))
     else:
         x, y = rng.normal(size=(n, n, 2)), rng.normal(size=(n, n, 2))
-    assert orbits._integral(x, y) == (kind == "int")
+    assert (orbits._integral(x, y) is not None) == (kind == "int")
     none = lambda p: np.zeros(len(p), dtype=bool)  # noqa: E731
     assert orbits.min_sq_over_group(x, y, none) == (math.inf, None)
     assert orbits.max_inner_over_group(x, y, none) == (-math.inf, None)
     assert orbits.optimum(_table("dot", x, y), True, none) == (-math.inf, None)
+
+
+def test_scans_total_in_float32_where_exact_or_ranked(monkeypatch):
+    # Integer score tables, integer inner products under 2^24 and inner
+    # products ranked inside the window total in float32; integers over
+    # 2^24, scales outside the window and custom costs total in float64.
+    dtypes = []
+    real = orbits._Chunk.totals
+
+    def recording(chunk, table, in_order=False):
+        totals = real(chunk, table, in_order)
+        dtypes.append(totals.dtype)
+        return totals
+
+    monkeypatch.setattr(orbits._Chunk, "totals", recording)
+
+    def dtype_of(scan):
+        dtypes.clear()
+        scan()
+        assert len(set(dtypes)) == 1
+        return dtypes[0]
+
+    rng = np.random.default_rng(5)
+    for kind in ("under24", "over24"):
+        x, y = _boundary_cells(rng, 5, 2, kind)
+        want = np.float32 if kind == "under24" else np.float64
+        assert dtype_of(lambda: orbits.min_sq_over_group(x, y)) == want, kind
+        assert dtype_of(lambda: orbits.max_inner_over_group(x, y)) == want, kind
+    for scale in (1.0, *WINDOW_EDGES):
+        x, y = _near_tie_pair(5, 2, 6, "float", scale)
+        want = np.float64 if str(scale).endswith("outside") else np.float32
+        assert dtype_of(lambda: orbits.min_sq_over_group(x, y)) == want, scale
+        assert dtype_of(lambda: orbits.max_inner_over_group(x, y)) == want, scale
+    g, h = random_graph(rng, 5, 2, attrs="int"), random_graph(rng, 4, 2, attrs="int")
+    assert dtype_of(lambda: edit_kernel(g, h, DELTA)) == np.float32
+    assert dtype_of(lambda: general_ged(g, h, EditCost.uniform())) == np.float32
+    assert dtype_of(lambda: general_ged(g, h, EditCost.from_kernel(DELTA))) == np.float32
+    assert dtype_of(lambda: isotropy_group(to_matrix(g))) == np.float32
+    assert dtype_of(lambda: general_ged(g, h, EditCost.custom(_cells_cost))) == np.float64
 
 
 # ------------------------------------------------ masks and memory of a scan

@@ -9,8 +9,11 @@ exceptions by type.  The cases cover orders 1-9 and attribute dimensions 1-3
 over six input families (Gaussian, small integers with ties, unit-labelled
 cycles and stars, graphs padded up to a fixed order, relabelled copies, and
 integers at the edge of the engine's exactness certificate, plus 1e160- and
-0.1-scaled copies), and call the kernels, metrics, isotropy checks,
-alignments and means of the package (a custom edit cost at orders up to 6,
+0.1-scaled copies), integers on both sides of the float32 certificate
+N (max|x| + max|y|)^2 < 2^24, and Gaussian near-ties scaled just inside and
+just outside both edges of the float32 ranking window
+2^-100 < (||x|| + ||y||)^2 < 2^100.  They call the kernels, metrics, isotropy
+checks, alignments and means of the package (a custom edit cost at orders up to 6,
 and up to 9 for d = 1); ``gram`` CSVs of both kinds, and the stdout and exit
 code of ``check`` for every suite, are compared byte for byte.  Inputs are
 built with numpy here, not with the trees' own samplers, so both trees see
@@ -102,6 +105,25 @@ def _pairs(n, d):
         out.append(("huge", x, x[::-1, ::-1].copy(), n))
         star = 0.1 * _cells(rng, n, d, "unit", 1) if n >= 3 else 0.1 * np.ones((n, n, d))
         out.append(("tenth-star", star, star.copy(), n))
+    # integers with max|x| = max|y| = m just under (step 0) and over the
+    # float32 certificate N (2m)^2 < 2^24, as a nudged relabelled copy
+    for step, side in enumerate(("under", "over")):
+        m = math.isqrt((2**24 - 1) // (4 * n * n * d)) + step
+        x = rng.integers(-m, m + 1, size=(n, n, d)).astype(float)
+        x.flat[rng.integers(x.size)] = m
+        p = rng.permutation(n)
+        y = x[np.ix_(p, p)].copy()
+        y.flat[rng.integers(y.size)] = -m
+        out.append((f"int24-{side}", x, y, n))
+    # Gaussian near-ties scaled to R^2 = (||x|| + ||y||)^2 just inside and
+    # just outside each edge of the float32 ranking window (2^-100, 2^100)
+    for side, r2 in (("low-in", 2.0**-100 * 1.001), ("low-out", 2.0**-100 / 1.001),
+                     ("high-in", 2.0**100 / 1.001), ("high-out", 2.0**100 * 1.001)):
+        x = rng.normal(size=(n, n, d))
+        p = rng.permutation(n)
+        y = x[np.ix_(p, p)] + 1e-13 * rng.normal(size=x.shape)
+        scale = math.sqrt(r2) / (np.linalg.norm(x) + np.linalg.norm(y))
+        out.append((f"window-{side}", x * scale, y * scale, n))
     return out
 
 
