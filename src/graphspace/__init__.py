@@ -37,8 +37,8 @@ from .graphs import (
     GraphMatrix,
     from_matrix,
     load_graph,
-    pad_pair,
     pad_to_order,
+    padded_order,
     parse_graph,
     serialize_graph,
     strip_null_nodes,
@@ -85,7 +85,7 @@ __all__ = [
     "serialize_graph",
     "load_graph",
     "pad_to_order",
-    "pad_pair",
+    "padded_order",
     "strip_null_nodes",
     "to_matrix",
     "from_matrix",

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import AttributedGraph, GraphMatrix, pad_to_order, to_matrix
+from .graphs import AttributedGraph, GraphMatrix, padded_order, to_matrix
 from .kernels import edit_kernel
 from .orbits import (
     DEFAULT_ORDER_GUARD,
@@ -86,14 +86,12 @@ class Alignment:
         order: int | None = None,
         guard: int = DEFAULT_ORDER_GUARD,
     ):
-        n = center.order if order is None else order
-        if n < center.order:
-            raise ValueError(f"order {n} below the center's order {center.order}")
+        n = padded_order((center,), "bound", order)
         check_order_guard(n, guard)
         self.center = center
         self.guard = guard
         self.n = n
-        self.center_matrix = to_matrix(pad_to_order(center, n))
+        self.center_matrix = to_matrix(center, n)
         if not is_ordinary(self.center_matrix, guard):
             raise ValueError("alignment center must be ordinary (trivial isotropy)")
 
@@ -132,9 +130,7 @@ class Alignment:
         return 0.25 * math.sqrt(best)
 
     def _padded_matrix(self, g: AttributedGraph) -> GraphMatrix:
-        if g.order > self.n:
-            raise ValueError(f"graph order {g.order} exceeds alignment order {self.n}")
-        return to_matrix(pad_to_order(g, self.n))
+        return to_matrix(g, padded_order((self.center, g), "bound", self.n))
 
     def align(self, g: AttributedGraph) -> GraphMatrix:
         """The representation of g inside the domain nearest to the center.

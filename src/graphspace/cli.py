@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .alignment import Alignment
 from .geometry import sample_mean
-from .graphs import PADDING_MODES, GraphFormatError, load_graph, pad_pair, serialize_graph
+from .graphs import PADDING_MODES, GraphFormatError, load_graph, padded_order, serialize_graph
 from .kernels import (
     DELTA,
     DOT,
@@ -186,16 +186,14 @@ def cmd_gram(args, guard: int) -> int:
         raise ValueError("--tol applies to gram --kind distance only")
     files = _resolve_collection(args.paths)
     graphs = [load_graph(f) for f in files]
-    dims = {g.dim for g in graphs}
-    if len(dims) != 1:
-        raise GraphFormatError(f"mixed attribute dimensions: {sorted(dims)}")
-    order = args.order
-    if order is None and args.pad == "bound":
-        order = max(g.order for g in graphs)
-    # Padding each graph against itself checks the flags and the order guard
-    # as the diagonal scans would, also where the diagonal is not scanned.
+    # The collection's padding order checks the flags and the dimensions.
+    # Padding each graph against itself checks the order guard as the
+    # diagonal scans would, also where the diagonal is not scanned.
+    order = padded_order(graphs, args.pad, args.order)
+    if args.pad == "pairwise-sum":
+        order = None  # each pair pads to the sum of its own orders
     for g in graphs:
-        check_order_guard(pad_pair(g, g, args.pad, order)[2], guard)
+        check_order_guard(padded_order((g, g), args.pad, order), guard)
     score = _SCORES[args.score]
     k = len(graphs)
     # Both kinds are symmetric: scan each unordered pair once.  The kernel
@@ -223,9 +221,7 @@ def cmd_gram(args, guard: int) -> int:
 def cmd_align(args, guard: int) -> int:
     center = load_graph(args.center)
     graphs = [load_graph(p) for p in args.graphs]
-    order = args.order
-    if order is None:
-        order = max(center.order, max(g.order for g in graphs))
+    order = padded_order([center, *graphs], "bound", args.order)
     aligner = Alignment(center, order=order, guard=guard)
     payload = [aligner.align(g).cells.tolist() for g in graphs]
     _emit(json.dumps(payload), args.output)

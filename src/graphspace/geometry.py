@@ -21,7 +21,7 @@ from .graphs import (
     AttributedGraph,
     GraphMatrix,
     from_matrix,
-    pad_to_order,
+    padded_order,
     strip_null_nodes,
     to_matrix,
 )
@@ -194,11 +194,9 @@ def sample_mean(
     for g in graphs:
         if g.directed != directed or g.dim != dim:
             raise ValueError("graphs must share directedness and attribute dimension")
-    n = order if order is not None else max(g.order for g in graphs)
-    if n < max(g.order for g in graphs):
-        raise ValueError("configured order below the largest input graph")
+    n = padded_order(graphs, "bound", order)
     check_order_guard(n, guard)
-    mats = [to_matrix(pad_to_order(g, n)) for g in graphs]
+    mats = [to_matrix(g, n) for g in graphs]
 
     # A graph is at squared distance exactly 0.0 from itself, first reached
     # at the identity: the diagonal needs no scan.

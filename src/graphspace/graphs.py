@@ -23,14 +23,16 @@ precision.
 A graph of order n maps to an n x n matrix of attributes: node attributes on
 the diagonal, edge attributes off it, zero cells for non-edges.  Flattened
 row-major, that matrix is a point of the Euclidean space R^(n*n*d) on which
-all norms and inner products below are taken.
+all norms and inner products below are taken.  Graphs compared together are
+padded with null nodes to one order n, which ``padded_order`` decides;
+``to_matrix(g, n)`` writes the padding as zero cells, without a padded graph.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,7 +47,7 @@ __all__ = [
     "strip_null_nodes",
     "to_matrix",
     "from_matrix",
-    "pad_pair",
+    "padded_order",
     "PADDING_MODES",
 ]
 
@@ -305,9 +307,12 @@ def strip_null_nodes(g: AttributedGraph) -> AttributedGraph:
     return AttributedGraph(g.directed, g.dim, nodes, edges)
 
 
-def to_matrix(g: AttributedGraph) -> GraphMatrix:
-    """Matrix representation: diagonal node attributes, off-diagonal edges."""
-    n = g.order
+def to_matrix(g: AttributedGraph, order: int | None = None) -> GraphMatrix:
+    """Matrix representation: diagonal node attributes, off-diagonal edges,
+    and zero cells for the null nodes that pad g to ``order``."""
+    n = g.order if order is None else order
+    if n < g.order:
+        raise ValueError(f"cannot pad order {g.order} down to {n}")
     cells = np.zeros((n, n, g.dim))
     for i, attr in enumerate(g.node_attrs):
         cells[i, i] = attr
@@ -333,29 +338,32 @@ def from_matrix(m: GraphMatrix, directed: bool) -> AttributedGraph:
     return AttributedGraph(directed, m.dim, nodes, edges)
 
 
-def pad_pair(
-    x: AttributedGraph,
-    y: AttributedGraph,
+def padded_order(
+    graphs: Sequence[AttributedGraph],
     padding: str = "bound",
     order: int | None = None,
-) -> tuple[AttributedGraph, AttributedGraph, int]:
-    """Size-align two graphs.
+) -> int:
+    """The common order to which ``to_matrix`` pads graphs compared together.
 
-    ``pairwise-sum`` pads both to order(x) + order(y) and takes no
-    ``order``; ``bound`` pads both to a fixed order (given, or the larger of
-    the two).  Fixed-order padding is what makes distances across a whole
-    collection a metric.
+    ``pairwise-sum`` pads to the sum of the orders and takes no ``order``;
+    ``bound`` pads to ``order``, or by default to the largest graph's order,
+    and rejects an order below any graph's.  Fixed-order padding is what
+    makes distances across a whole collection a metric.  The graphs must
+    share one attribute dimension.
     """
-    if x.dim != y.dim:
-        raise GraphFormatError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    orders = [g.order for g in graphs]
+    dims = list(dict.fromkeys(g.dim for g in graphs))
+    if len(dims) > 1:
+        mixed = " vs ".join(map(str, dims))
+        raise GraphFormatError(f"dimension mismatch: mixed attribute dimensions {mixed}")
     if padding == "pairwise-sum":
         if order is not None:
             raise ValueError("pairwise-sum padding takes no order; use bound padding")
-        n = x.order + y.order
-    elif padding == "bound":
-        n = max(x.order, y.order) if order is None else order
-        if n < max(x.order, y.order):
-            raise ValueError(f"bound order {n} below graph order {max(x.order, y.order)}")
-    else:
+        return sum(orders)
+    if padding != "bound":
         raise ValueError(f"unknown padding mode {padding!r}")
-    return pad_to_order(x, n), pad_to_order(y, n), n
+    largest = max(orders, default=0)
+    n = largest if order is None else order
+    if n < largest:
+        raise ValueError(f"bound order {n} below graph order {largest}")
+    return n

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graphs import AttributedGraph, GraphMatrix, pad_pair, to_matrix
+from .graphs import AttributedGraph, GraphMatrix, padded_order, to_matrix
 from .orbits import (
     DEFAULT_ORDER_GUARD,
     Permutation,
@@ -229,9 +229,9 @@ def _prepare(
     order: int | None,
     guard: int,
 ) -> tuple[GraphMatrix, GraphMatrix]:
-    xp, yp, n = pad_pair(x, y, padding, order)
+    n = padded_order((x, y), padding, order)
     check_order_guard(n, guard)
-    return to_matrix(xp), to_matrix(yp)
+    return to_matrix(x, n), to_matrix(y, n)
 
 
 def edit_kernel(
@@ -401,8 +401,8 @@ def greedy_bound(
     and the kernel-trick cost gives an upper bound on the induced metric.
     No order guard: the construction is polynomial.
     """
-    xp, yp, n = pad_pair(x, y, "bound", None)
-    xm, ym = to_matrix(xp), to_matrix(yp)
+    n = padded_order((x, y))
+    xm, ym = to_matrix(x, n), to_matrix(y, n)
     free_x = list(range(x.order))
     free_y = list(range(y.order))
     phi: dict[int, int] = {}

@@ -270,28 +270,24 @@ def _fold(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return const, pairs
 
 
-def iter_permutation_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (offset, sigmas): the permutations of 0..n-1 in lex order, as
-    chunks of up to _CHUNK consecutive blocks of 7! rows (one block of all
-    n! for n <= 7).
+def iter_permutation_blocks(n: int) -> Iterator[np.ndarray]:
+    """Yield sigmas: the permutations of 0..n-1 in lex order, as chunks of
+    up to _CHUNK consecutive blocks of 7! rows (one block of all n! for
+    n <= 7).
 
     Block b of a chunk holds the permutations whose first n - 7 images are
     one prefix; it is ``sigmas[b][_base(n)]``, with sigmas[b] the prefix
     followed by the remaining nodes in increasing order, so its first row
-    is sigmas[b].  offset is the position of the chunk's first row in the
-    group.
+    is sigmas[b].
     """
     k = max(0, n - _FREE)
-    rows = math.factorial(n - k)
     prefixes = itertools.permutations(range(n), k)
-    offset = 0
     while chunk := list(itertools.islice(prefixes, _CHUNK)):
         c = len(chunk)
         head = np.array(chunk, dtype=np.intp).reshape(c, k)
         rest = np.ones((c, n), dtype=bool)
         rest[np.arange(c)[:, None], head] = False
-        yield offset, np.concatenate([head, np.nonzero(rest)[1].reshape(c, n - k)], axis=1)
-        offset += c * rows
+        yield np.concatenate([head, np.nonzero(rest)[1].reshape(c, n - k)], axis=1)
 
 
 def _partial_permutations(n: int, k: int) -> Iterator[np.ndarray]:
@@ -443,7 +439,7 @@ def _chunks(
     """
     base = _base(n)
     narrow = np.min_scalar_type(n)
-    for _, sigmas in iter_permutation_blocks(n):
+    for sigmas in iter_permutation_blocks(n):
         if feasible is None:
             yield _Chunk(sigmas, None)
             continue

@@ -19,7 +19,7 @@ import numpy as np
 from . import bruteforce
 from .alignment import Alignment
 from .geometry import cauchy_schwarz_gap, kernel_value, sample_mean, scalar_mult
-from .graphs import AttributedGraph, GraphMatrix, from_matrix, pad_to_order, to_matrix
+from .graphs import AttributedGraph, GraphMatrix, from_matrix, pad_to_order, padded_order, to_matrix
 from .kernels import DOT, induced_metric, mcs_kernel
 from .orbits import (
     DEFAULT_ORDER_GUARD,
@@ -84,7 +84,7 @@ def suite_metric(trials=200, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD) -> Sui
         if t % 10 == 3:
             extra = int(rng.integers(0, 2))
             graphs[1] = relabeled(rng, pad_to_order(graphs[0], graphs[0].order + extra))
-        n = max(g.order for g in graphs)
+        n = padded_order(graphs)
         d = [[0.0] * 3 for _ in range(3)]
         for i in range(3):
             for j in range(3):
@@ -95,7 +95,7 @@ def suite_metric(trials=200, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD) -> Sui
                 sym_worst = max(sym_worst, abs(d[i][j] - d[j][i]))
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             tri_violation = max(tri_violation, d[i][k] - d[i][j] - d[j][k])
-        mats = [to_matrix(pad_to_order(g, n)) for g in graphs]
+        mats = [to_matrix(g, n) for g in graphs]
         for i in range(3):
             for j in range(i + 1, 3):
                 same = orbit(mats[i], guard).contains(mats[j])
@@ -176,7 +176,7 @@ def suite_wgrt(trials=100, seed=0, tol=1e-9, guard=DEFAULT_ORDER_GUARD) -> Suite
         y = random_graph(rng, int(rng.integers(1, n + 1)), dim, directed=True)
         mu_x, mu_y = align.align(x), align.align(y)
         z = align.center_matrix
-        delta_zx = quotient_distance(z, to_matrix(pad_to_order(x, n)), guard).value
+        delta_zx = quotient_distance(z, to_matrix(x, n), guard).value
         center_res = max(
             center_res, abs(float(np.linalg.norm(z.cells - mu_x.cells)) - delta_zx)
         )

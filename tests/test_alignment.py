@@ -6,6 +6,7 @@ import pytest
 from graphspace import (
     Alignment,
     AttributedGraph,
+    GraphFormatError,
     GraphMatrix,
     dirichlet_boundary_distance,
     is_ordinary,
@@ -197,3 +198,20 @@ def test_alignment_order_and_guard_checks():
     assert align.n == 3
     with pytest.raises(ValueError):
         align.align(diag_graph(1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160])
+def test_alignment_rejects_another_attribute_dimension(scale):
+    # A d = 1 graph against a d = 2 center: at scale 1 numpy failed to
+    # reshape, at 1e160 every product overflowed and align returned a
+    # (4, 4, 1) matrix with an expansion check of (0.0, 0.0).
+    rng = np.random.default_rng(0)
+    center = scalar_mult(scale, random_ordinary_graph(rng, 4, 2, directed=True))
+    align = Alignment(center)
+    g = scalar_mult(scale, AttributedGraph(True, 1, [(1.0,), (2.0,)], [((0, 1), (3.0,))]))
+    for query in (lambda: align.align(g), lambda: align.expansion_check(g, g),
+                  lambda: align.expansion_check(center, g),
+                  lambda: align.cone_contains_graph(g, 1.0),
+                  lambda: align.correspondence_report(g)):
+        with pytest.raises(GraphFormatError, match="dimension mismatch"):
+            query()

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from graphspace import length, serialize_graph
+from graphspace import AttributedGraph, length, serialize_graph
 from graphspace.sampling import random_graph
 from graphspace.suites import run_suite
 
@@ -274,3 +274,25 @@ def test_gram_scans_each_unordered_pair_once(graph_files, count):
                 want = (edit_kernel(x, y, order=order).value if kind == "kernel"
                         else induced_metric(x, y, order=order))
                 assert rows[i][j] == f"{want:.12g}"
+
+
+def test_align_rejects_another_attribute_dimension(graph_files):
+    _, write = graph_files
+    center = write("z.json", serialize_graph(AttributedGraph(False, 2, [(1.0, 0.0), (2.0, 0.0)])))
+    x = write("x.json", '{"directed":false,"attr_dim":1,"nodes":[[5.0]],"edges":[]}')
+    res = run_cli("align", center, x)
+    assert res.returncode == 1 and res.stdout == ""
+    assert "error: dimension mismatch" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["gram", "align", "mean"])
+def test_order_below_a_graph_exits_1_before_the_guard(graph_files, command):
+    # --order 10 is below the order-11 graph and above the default guard 9:
+    # the order is rejected as input (exit 1), not by the guard (exit 2).
+    tmp, write = graph_files
+    big = write("big.json", serialize_graph(AttributedGraph(False, 1, [(1.0,)] * 11)))
+    small = write("small.json", '{"directed":false,"attr_dim":1,"nodes":[[1.0],[2.0]],"edges":[]}')
+    args = {"gram": [str(tmp)], "align": [small, big], "mean": [big, small]}[command]
+    res = run_cli(command, *args, "--order", "10")
+    assert res.returncode == 1 and "below graph order 11" in res.stderr
+    assert run_cli(command, *args).returncode == 2  # order 11 alone exceeds the guard

@@ -8,8 +8,8 @@ from graphspace import (
     GraphFormatError,
     GraphMatrix,
     from_matrix,
-    pad_pair,
     pad_to_order,
+    padded_order,
     parse_graph,
     serialize_graph,
     strip_null_nodes,
@@ -154,18 +154,40 @@ def test_from_matrix_round_trip_and_symmetry_check():
 def test_pad_pair_modes():
     a = AttributedGraph(False, 1, [(1.0,)])
     b = AttributedGraph(False, 1, [(2.0,), (3.0,)])
-    xa, xb, n = pad_pair(a, b, "pairwise-sum")
-    assert n == 3 and xa.order == 3 and xb.order == 3
-    xa, xb, n = pad_pair(a, b, "bound")
-    assert n == 2
-    _, _, n = pad_pair(a, b, "bound", order=5)
-    assert n == 5
-    with pytest.raises(ValueError):
-        pad_pair(a, b, "bound", order=1)
+    assert padded_order((a, b), "pairwise-sum") == 3
+    assert padded_order((a, b), "bound") == padded_order((a, b)) == 2
+    assert padded_order((a, b), "bound", order=5) == 5
+    assert padded_order((a, b, b), "pairwise-sum") == 5
+    assert padded_order(()) == padded_order((), "pairwise-sum") == 0
+    with pytest.raises(ValueError, match="below graph order 2"):
+        padded_order((a, b), "bound", order=1)
     with pytest.raises(ValueError, match="pairwise-sum"):
-        pad_pair(a, b, "pairwise-sum", order=5)
-    with pytest.raises(GraphFormatError):
-        pad_pair(a, AttributedGraph(False, 2, [(1.0, 1.0)]), "bound")
+        padded_order((a, b), "pairwise-sum", order=5)
+    with pytest.raises(ValueError, match="unknown padding mode"):
+        padded_order((a, b), "sum")
+    with pytest.raises(GraphFormatError, match="mismatch: mixed attribute dimensions 1 vs 2"):
+        padded_order((a, AttributedGraph(False, 2, [(1.0, 1.0)])), "bound")
+    with pytest.raises(GraphFormatError, match="dimension mismatch"):
+        padded_order((a, AttributedGraph(False, 2, [(1.0, 1.0)])), "pairwise-sum")
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_to_matrix_pads_with_zero_cells(directed, d):
+    # Padding in matrix space is bit for bit the matrix of the padded graph.
+    rng = np.random.default_rng(10 * d + directed)
+    neg_zero = AttributedGraph(directed, d, [(-0.0,) * d, (1.0,) * d], [((0, 1), (2.0,) * d)])
+    for g in (AttributedGraph(directed, d, []), neg_zero,
+              random_graph(rng, 4, d, directed=directed, edge_prob=0.6)):
+        for n in range(g.order, g.order + 4):
+            got, ref = to_matrix(g, n), to_matrix(pad_to_order(g, n))
+            assert got.cells.shape == (n, n, d)
+            assert got.to_bytes() == ref.to_bytes()
+        assert to_matrix(g, None) == to_matrix(g)
+        if g.order:
+            with pytest.raises(ValueError, match="cannot pad"):
+                to_matrix(g, g.order - 1)
+    assert np.signbit(to_matrix(neg_zero, 3).cells[0, 0]).all()  # the -0.0 node survives
 
 
 def test_serialized_form_is_stable():

@@ -244,8 +244,8 @@ def test_only_orbits_enumerates_permutation_blocks():
 def test_blocks_concatenate_to_the_lex_ordered_group(n):
     perms = itertools.permutations(range(n))
     offset = 0
-    for start, sigmas in orbits.iter_permutation_blocks(n):
-        assert start == offset and 1 <= len(sigmas) <= orbits._CHUNK
+    for sigmas in orbits.iter_permutation_blocks(n):
+        assert 1 <= len(sigmas) <= orbits._CHUNK
         for block in sigmas[:, orbits._base(n)]:
             assert 1 <= len(block) <= 5040
             expected = np.array(list(itertools.islice(perms, len(block))), dtype=np.intp)
@@ -277,7 +277,7 @@ def test_flat_gather_equals_reference_gather(n, d, monkeypatch):
         flat = np.arange(len(group))
         if feasible is not None:
             base = orbits._base(n)
-            mask = np.concatenate([feasible(sigma[base]) for _, sigmas in
+            mask = np.concatenate([feasible(sigma[base]) for sigmas in
                                    orbits.iter_permutation_blocks(n) for sigma in sigmas])
             flat = flat[mask]
         start = 0

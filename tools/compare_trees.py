@@ -15,7 +15,12 @@ just outside both edges of the float32 ranking window
 2^-100 < (||x|| + ||y||)^2 < 2^100.  They call the kernels, metrics, isotropy
 checks, alignments and means of the package (a custom edit cost at orders up to 6,
 and up to 9 for d = 1); ``gram`` CSVs of both kinds, and the stdout and exit
-code of ``check`` for every suite, are compared byte for byte.  Inputs are
+code of ``check`` for every suite, are compared byte for byte.  Padding
+cases pad above the inputs' order (midpoints, alignments, means, greedy
+bounds, ``gram --order N+1`` and ``gram --pad pairwise-sum``, and the stdout
+and exit code of ``align`` and ``mean`` on one seeded set), and pass an order
+below a graph's or above the guard, where only the error's type is
+compared.  Inputs are
 built with numpy here, not with the trees' own samplers, so both trees see
 the same graphs.
 
@@ -164,6 +169,7 @@ def _cases(gs):
                 if n <= 5 and family in ("gauss", "int", "padded"):
                     yield (f"{tag} sample_mean",
                            lambda: gs.sample_mean([x, y, gs.scalar_mult(0.5, x)], max_iter=5))
+                yield from _padding_cases(gs, tag, x, y, order)
 
 
 def _alignment_cases(gs, tag, x, y, ym, order):
@@ -174,6 +180,30 @@ def _alignment_cases(gs, tag, x, y, ym, order):
     yield f"{tag} domain_margin", lambda: aligner().domain_margin(ym)
     yield f"{tag} align", lambda: aligner().align(y)
     yield f"{tag} midpoint", lambda: gs.midpoint(x, y)
+
+
+def _padding_cases(gs, tag, x, y, order):
+    """Padding above the inputs' order, and the errors of an order below a
+    graph's or above the guard (9), which every path raises before it scans."""
+    for score in (gs.DOT, gs.DELTA):
+        yield f"{tag} greedy_bound {score.kind}", lambda s=score: gs.greedy_bound(x, y, s)
+    if order <= 6:
+        up = order + 1
+        yield f"{tag} midpoint order+1", lambda: gs.midpoint(x, y, order=up)
+        yield f"{tag} Alignment order+1 rho_star", lambda: gs.Alignment(x, order=up).rho_star
+        yield f"{tag} Alignment order+1 align", lambda: gs.Alignment(x, order=up).align(y)
+        yield (f"{tag} Alignment order+1 expansion_check",
+               lambda: gs.Alignment(x, order=up).expansion_check(x, y))
+    if order <= 4:
+        trio = [x, y, gs.scalar_mult(0.5, y)]
+        yield (f"{tag} sample_mean order+1",
+               lambda: gs.sample_mean(trio, max_iter=5, order=order + 1))
+    for bad in (order - 1, 10):
+        if bad < max(x.order, y.order) or bad > 9:
+            yield f"{tag} edit_kernel order={bad}", lambda b=bad: gs.edit_kernel(x, y, order=b)
+            yield f"{tag} midpoint order={bad}", lambda b=bad: gs.midpoint(x, y, order=b)
+            yield f"{tag} sample_mean order={bad}", lambda b=bad: gs.sample_mean([x, y], order=b)
+            yield f"{tag} Alignment order={bad}", lambda b=bad: gs.Alignment(x, order=b)
 
 
 def _gram_cases(gs, cli):
@@ -187,10 +217,30 @@ def _gram_cases(gs, cli):
             for i, g in enumerate(graphs):
                 (folder / f"g{i}.json").write_text(gs.serialize_graph(g), encoding="utf-8")
             for kind in ("kernel", "distance"):
-                out = Path(tmp, f"{kind}.csv")
-                code = cli.main(["gram", str(folder), "--kind", kind, "-o", str(out)])
-                text = out.read_text(encoding="utf-8") if out.exists() else ""
-                yield f"gram n={n} d={d} k={k} {kind}", [code, text]
+                for flags in ([], ["--order", str(n + 1)], ["--pad", "pairwise-sum"]):
+                    out = Path(tmp, "gram.csv")
+                    out.unlink(missing_ok=True)
+                    code = cli.main(["gram", str(folder), "--kind", kind, *flags, "-o", str(out)])
+                    text = out.read_text(encoding="utf-8") if out.exists() else ""
+                    yield f"gram n={n} d={d} k={k} {kind} {' '.join(flags)}".rstrip(), [code, text]
+
+
+def _align_mean_cases(gs, cli):
+    """stdout and exit code of ``align`` and ``mean`` on one seeded set each."""
+    rng = np.random.default_rng(11)
+    graphs = [gs.from_matrix(gs.GraphMatrix(_cells(rng, o, 2, "gauss", 0)), True)
+              for o in (4, 3, 4, 2)]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, g in enumerate(graphs):
+            paths.append(str(Path(tmp, f"g{i}.json")))
+            Path(paths[-1]).write_text(gs.serialize_graph(g), encoding="utf-8")
+        for argv in (["align", *paths], ["align", *paths, "--order", "5"],
+                     ["mean", *paths, "--max-iter", "5"], ["mean", *paths, "--order", "5"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            yield " ".join(a for a in argv if a not in paths), [code, out.getvalue()]
 
 
 def _check_cases(cli):
@@ -213,7 +263,8 @@ def emit(src: str) -> None:
         except Exception as exc:  # a raised error is a result too
             result = f"raises {type(exc).__name__}"
         print(json.dumps([label, result]), flush=True)
-    for label, result in (*_gram_cases(gs, cli), *_check_cases(cli)):
+    for label, result in (*_gram_cases(gs, cli), *_align_mean_cases(gs, cli),
+                          *_check_cases(cli)):
         print(json.dumps([label, result]), flush=True)
 
 
