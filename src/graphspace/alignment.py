@@ -28,7 +28,6 @@ from .orbits import (
     is_ordinary,
     max_inner_over_group,
     min_sq_over_group,
-    non_identity,
     quotient_distance,
 )
 
@@ -97,7 +96,7 @@ class Alignment:
 
     def _inner_with_center_orbit(self, x: GraphMatrix) -> tuple[float, float]:
         """(<x, z>, max over gamma != identity of <x, gamma z>)."""
-        rest = max_inner_over_group(x.cells, self.center_matrix.cells, non_identity)
+        rest = max_inner_over_group(x.cells, self.center_matrix.cells, skip_identity=True)
         return x.inner(self.center_matrix), rest.value
 
     def domain_margin(self, x: GraphMatrix) -> float:
@@ -124,7 +123,7 @@ class Alignment:
         if self.n < 2:
             return math.inf
         z = self.center_matrix.cells
-        best = min_sq_over_group(z, z, feasible=non_identity).value
+        best = min_sq_over_group(z, z, skip_identity=True).value
         if not math.isfinite(best) or best <= 0.0:
             raise ValueError("center is singular; no positive radius exists")
         return 0.25 * math.sqrt(best)

@@ -11,7 +11,8 @@ orbit semantics) and ``"compact"`` (every real node of the smaller graph must
 map to a real node of the larger one).  With componentwise nonnegative
 attributes the two optima agree; for sign-indefinite attributes routing a
 real node through padding can win, and the test suites measure that gap
-rather than assuming it away.
+rather than assuming it away.  A class is the images each y-node may take
+(``_allowed``), which the scans write into their cell-pair tables.
 """
 
 from __future__ import annotations
@@ -150,29 +151,18 @@ def _score_table(x: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
 def _cost_table(x: np.ndarray, y: np.ndarray, cost: EditCost) -> np.ndarray:
     """The cell-pair table of a Python cost: n**4 calls, one per cell pair.
 
-    A NaN cost has no place in a minimum, so it is rejected with its cells.
+    A cost of NaN has no place in a minimum, and one of -inf would sum to
+    NaN with the inf that excludes a row from a compact scan
+    (``orbits._penalised``), so either is rejected with its cells.
     """
     n, d = x.shape[0], x.shape[2]
     ys = [tuple(c) for c in y.reshape(n * n, d)]
     table = np.array([[cost(tuple(a), b) for b in ys] for a in x.reshape(n * n, d)])
-    bad = np.argwhere(np.isnan(table))
+    bad = np.argwhere(np.isnan(table) | (table == -math.inf))
     if len(bad):
         k, l = (divmod(int(c), n) for c in bad[0])
-        raise ValueError(f"edit cost is NaN for x cell {k} and y cell {l}")
+        raise ValueError(f"edit cost is {table[tuple(bad[0])]} for x cell {k} and y cell {l}")
     return table.reshape(n, n, n * n)
-
-
-def _compact_mask(block: np.ndarray, rx: int, ry: int) -> np.ndarray:
-    # The induced node map sends real x-node p[k] to y-node k; compactness
-    # pins the smaller graph's real nodes onto the larger graph's real nodes.
-    keep = np.ones(len(block), dtype=bool)
-    if rx <= ry:
-        for images in block.T[ry:]:  # column by column: fast for few columns
-            keep &= images >= rx
-    else:
-        for images in block.T[:ry]:
-            keep &= images < rx
-    return keep
 
 
 def _check_morphisms(morphisms: str) -> None:
@@ -180,13 +170,18 @@ def _check_morphisms(morphisms: str) -> None:
         raise ValueError(f"unknown morphism class {morphisms!r}")
 
 
-def _feasible(x: AttributedGraph, y: AttributedGraph, morphisms: str, n: int):
-    """Row mask of the bijection class at padded order n, or None when it is
-    the full group: always for "all", and for "compact" when the larger
-    graph has no padding to route a real node through."""
-    if morphisms == "all" or max(x.order, y.order) == n:
+def _allowed(rx: int, ry: int, morphisms: str, n: int) -> np.ndarray | None:
+    """allowed[k, v]: may y-node k take x-node v (p sends x-node p[k] to
+    y-node k) at padded order n?  None for the full group: "all", and
+    "compact" when the larger graph has no padding to route a real node
+    through; else compactness pins the smaller graph's real nodes onto the
+    larger graph's."""
+    if morphisms == "all" or max(rx, ry) == n:
         return None
-    return lambda block: _compact_mask(block, x.order, y.order)
+    k, v = np.ogrid[:n, :n]
+    if rx <= ry:
+        return (k < ry) | (v >= rx)
+    return (k >= ry) | (v < rx)
 
 
 def transformation_score(
@@ -210,14 +205,14 @@ def transformation_cost(
     if cost.kind in _COST_KINDS:
         return float(_cell_scores(gy.cells, x.cells, _COST_KINDS[cost.kind]).sum())
     # cell by cell in (k, l) order, as general_ged totals a custom cost, and
-    # a NaN cost is rejected with its cells, as general_ged rejects it
+    # a cost of NaN or -inf is rejected with its cells, as general_ged rejects it
     q = perm.inverse().images  # (gamma y)[k, l] = y[q_k, q_l]
     total = 0.0
     for c, (a, b) in enumerate(zip(x.cells.reshape(-1, x.dim), gy.cells.reshape(-1, x.dim))):
         value = cost(tuple(a), tuple(b))
-        if math.isnan(value):
+        if math.isnan(value) or value == -math.inf:
             k, l = divmod(c, x.n)
-            raise ValueError(f"edit cost is NaN for x cell {(k, l)} and y cell {(q[k], q[l])}")
+            raise ValueError(f"edit cost is {value} for x cell {(k, l)} and y cell {(q[k], q[l])}")
         total += value
     return total
 
@@ -252,11 +247,11 @@ def edit_kernel(
     """
     _check_morphisms(morphisms)
     xm, ym = _prepare(x, y, padding, order, guard)
-    feasible = _feasible(x, y, morphisms, xm.n)
+    allowed = _allowed(x.order, y.order, morphisms, xm.n)
     if score.kind == "dot":
-        return max_inner_over_group(xm.cells, ym.cells, feasible)
+        return max_inner_over_group(xm.cells, ym.cells, allowed)
     table = _score_table(xm.cells, ym.cells, score.kind)
-    return optimum(table, maximize=True, feasible=feasible)
+    return optimum(table, maximize=True, allowed=allowed)
 
 
 def general_ged(
@@ -277,13 +272,13 @@ def general_ged(
     """
     _check_morphisms(morphisms)
     xm, ym = _prepare(x, y, padding, order, guard)
-    feasible = _feasible(x, y, morphisms, xm.n)
+    allowed = _allowed(x.order, y.order, morphisms, xm.n)
     if cost.kind == "kernel-dot":
-        return min_sq_over_group(xm.cells, ym.cells, feasible)
+        return min_sq_over_group(xm.cells, ym.cells, allowed)
     if cost.kind == "custom":
-        return optimum(_cost_table(xm.cells, ym.cells, cost), feasible=feasible, in_order=True)
+        return optimum(_cost_table(xm.cells, ym.cells, cost), allowed=allowed, in_order=True)
     table = _score_table(xm.cells, ym.cells, _COST_KINDS[cost.kind])
-    return optimum(table, feasible=feasible)
+    return optimum(table, allowed=allowed)
 
 
 def induced_metric(
@@ -342,8 +337,9 @@ def mcs_kernel(
     nonzero off-diagonal cells (each undirected edge counted once).  The raw
     kernel value counts ordered pairs: nodes + 2*edges for undirected input.
     """
-    res = edit_kernel(x, y, DELTA, "compact", "bound", None, guard)
+    # at the larger graph's order every bijection is compact: the full group
     xm, ym = _prepare(x, y, "bound", None, guard)
+    res = optimum(_score_table(xm.cells, ym.cells, "delta"), maximize=True)
     g = gather(xm.cells, np.asarray([res.witness.images], dtype=np.intp))[0]
     matched = _cell_scores(g, ym.cells, "delta")
     nodes = int(np.trace(matched))

@@ -36,9 +36,13 @@ The scan is memory-bounded and never materialises the whole group:
   the prefixes, and a scan handles a chunk in a few vectorised passes
   instead of one Python round per block (only a custom cost's in-order
   totals go block by block, within the chunk).  Block rows ``sigma[base]``
-  are built only where a mask needs them (a chunk's rows at once, in one
-  byte per image), and single rows where a re-score, ``orbit`` or a witness
-  does.
+  are built only for the rows that a re-score, ``orbit``, ``isotropy_group``
+  or a witness needs.
+* Classes as table entries.  A class that allows position k the images
+  v with allowed[k, v] (the compact maps of ``kernels``) is written into
+  the table, as forbidden assignments are in a Lawler cost matrix: each
+  row outside it totals the worst value (``_penalised``).  The identity
+  is every scan's first row, so a scan without it starts at the second.
 * Folded tables.  Because block t is sigma composed with ``base``, a chunk
   relabels the table by all its sigmas at once,
   ``table[sigmas[:, :, None], sigmas[:, None, :]]``, and folds each copy
@@ -54,12 +58,11 @@ The scan is memory-bounded and never materialises the whole group:
   row of offsets reads that entry for every row of every block at once, and
   the 28 reads are added in order, as a per-block sum over them would; a
   one-block chunk (every scan at n <= 7) reads all 28 rows in one index.
-  The rows a scan re-scores, ``orbit`` and the witnesses are gathered from
-  the chunk's permutations in the reference form.
 * Memory.  A scan holds its table, n**4 * 8 bytes (52 KB at n = 9), and
-  per chunk its relabelled tables (1.3 MB at n = 9), the totals of its
-  rows with one read row beside them (2 * 5040 * 24 * 8 bytes, 1.9 MB),
-  and at most _RESCORE re-scored rows; about 5 MB in all, at any order.
+  its penalised copy, and per chunk its relabelled tables (1.3 MB at
+  n = 9), the totals of its rows with one read row beside them
+  (2 * 5040 * 24 * 8 bytes, 1.9 MB), and at most _RESCORE re-scored rows;
+  about 4 MB in all, at any order.
   Totals are taken in the table's dtype, and reading the entries is most
   of a scan's time, bound by memory traffic, so a float32 table halves
   the relabelled tables and the totals, and the bytes a scan reads.
@@ -97,7 +100,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -339,32 +342,29 @@ class _Chunk(NamedTuple):
     """Consecutive prefix blocks of one scan, and the rows it scores.
 
     Row r of block b is ``sigmas[b][_base(n)[r]]``, at position b * m! + r
-    of the chunk; positions run in lex order.  A scan scores the chunk's
-    feasible rows, numbered 0, 1, ... in lex order.
+    of the chunk; positions run in lex order.  A scan scores the rows from
+    position ``start`` on, numbered 0, 1, ... in lex order.
     """
 
     sigmas: np.ndarray  # (blocks, n): each block's relabelling, its first row
-    rows: np.ndarray | None  # positions of the feasible rows; None for all
+    start: int  # 1 where the scan skips the identity, its first row, else 0
 
     @property
     def count(self) -> int:
-        """The number of feasible rows."""
-        if self.rows is None:
-            return len(self.sigmas) * len(_base(self.sigmas.shape[1]))
-        return len(self.rows)
+        """The number of rows scored."""
+        return len(self.sigmas) * len(_base(self.sigmas.shape[1])) - self.start
 
     def perms(self, which: np.ndarray) -> np.ndarray:
-        """The feasible permutations numbered ``which``, one per row."""
+        """The permutations of the rows numbered ``which``, one per row."""
         base = _base(self.sigmas.shape[1])
-        pos = which if self.rows is None else self.rows[which]
-        b, r = np.divmod(pos, len(base))
+        b, r = np.divmod(which + self.start, len(base))
         return self.sigmas[b[:, None], base[r]]
 
     def permutation(self, i: int) -> Permutation:
         return _permutation(self.perms(np.array([i]))[0])
 
     def totals(self, table: np.ndarray, in_order: bool = False) -> np.ndarray:
-        """Per feasible row p, sum over cells k = (i, j) of table[p_i, p_j, k],
+        """Per row p scored, sum over cells k = (i, j) of table[p_i, p_j, k],
         in the table's dtype, or in float32 for a boolean or integer table
         of scores (exact: see "Exact totals" in the module docstring).
 
@@ -388,19 +388,9 @@ class _Chunk(NamedTuple):
                 entries = table[p[:, :, None], p[:, None, :], cell].reshape(len(p), n * n)
                 for k in range(n * n):
                     t += entries[:, k]
-            total = total.reshape(-1)
-            return total if self.rows is None else total[self.rows]
+            return total.reshape(-1)[self.start :]
         const, pairs = _fold(table[sig[:, :, None], sig[:, None, :]])
         offsets = _offsets(min(n, _FREE))
-        if self.rows is not None and 3 * len(self.rows) <= len(sig) * offsets.shape[1]:
-            # a sparse mask: read only the feasible rows (past a third of
-            # them, reading every row and dropping the rest is faster)
-            b, r = np.divmod(self.rows, offsets.shape[1])
-            flat, start = pairs.reshape(-1), b * pairs.shape[1]
-            total = np.take(flat, offsets[0].take(r) + start, mode="clip")
-            for u in offsets[1:]:
-                total += np.take(flat, u.take(r) + start, mode="clip")
-            return const[b] + total
         if len(sig) == 1:
             total = const + pairs.reshape(-1)[offsets].sum(axis=0)
         else:
@@ -413,7 +403,7 @@ class _Chunk(NamedTuple):
             total += const
             np.copyto(entries.reshape(len(sig), -1), total.T)  # lex order, in the spare buffer
             total = entries.reshape(-1)
-        return total if self.rows is None else total[self.rows]
+        return total[self.start :]
 
     def gather(self, cells: np.ndarray, which: np.ndarray) -> np.ndarray:
         """``gather(cells, self.perms(which))``.
@@ -426,38 +416,29 @@ class _Chunk(NamedTuple):
         return cells[p[:, :, None], p[:, None, :]]
 
 
-def _chunks(
-    n: int, feasible: Callable[[np.ndarray], np.ndarray] | None = None
-) -> Iterator[_Chunk]:
-    """The one loop over the group: its permutations in lex order, by chunk.
-
-    ``feasible`` maps permutations, one per row, to a boolean row mask; it
-    sees a chunk's rows at once, in the narrowest unsigned dtype that holds
-    0..n-1 (1 MB at n = 9).  Blocks with no feasible row are dropped, and so
-    are chunks left empty.  Callers score each chunk as it comes, so one
-    chunk's entries are alive at a time.
-    """
-    base = _base(n)
-    narrow = np.min_scalar_type(n)
-    for sigmas in iter_permutation_blocks(n):
-        if feasible is None:
-            yield _Chunk(sigmas, None)
-            continue
-        rows = np.take(sigmas.astype(narrow), base, axis=1).reshape(len(sigmas) * len(base), n)
-        mask = feasible(rows).reshape(len(sigmas), -1)
-        live = mask.any(axis=1)
-        if not live.all():
-            sigmas, mask = sigmas[live], mask[live]
-        if len(sigmas):
-            yield _Chunk(sigmas, None if mask.all() else np.flatnonzero(mask))
+def _chunks(n: int, skip_identity: bool = False) -> Iterator[_Chunk]:
+    """The one loop over the group: its permutations in lex order, by chunk,
+    from the second (the identity is the first) if ``skip_identity``.
+    Callers score each chunk as it comes, so one chunk's entries are alive
+    at a time."""
+    for t, sigmas in enumerate(iter_permutation_blocks(n)):
+        chunk = _Chunk(sigmas, int(skip_identity and t == 0))
+        if chunk.count:
+            yield chunk
 
 
-def non_identity(block: np.ndarray) -> np.ndarray:
-    """Row mask of the permutations other than the identity."""
-    moved = np.zeros(len(block), dtype=bool)
-    for i, images in enumerate(block.T):  # column by column: fast for few columns
-        moved |= images != i
-    return moved
+def _penalised(table: np.ndarray, allowed: np.ndarray | None, worst: float) -> np.ndarray:
+    """A copy of the table, float32 if boolean or integer, in which every row
+    p with some not allowed[k, p_k] totals ``worst`` (an infinity): the total
+    adds the entry table[p_k, p_k, k*n + k], and the table holds no opposite
+    infinity (``kernels._cost_table`` rejects a cost of -inf).  The table
+    itself when ``allowed`` is None."""
+    if allowed is None:
+        return table
+    table = table.astype(np.float32 if table.dtype.kind in "biu" else table.dtype)
+    k, v = np.nonzero(~allowed)
+    table[v, v, k * (len(allowed) + 1)] = worst  # cell (k, k) of y
+    return table
 
 
 def orbit(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> Orbit:
@@ -503,7 +484,7 @@ def is_ordinary(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> bool:
     other permutation leaves fewer than n*n cells equal.  With no other
     permutation (n <= 1) the best count is -inf."""
     check_order_guard(x.n, guard)
-    best = optimum(_equal_table(x), maximize=True, feasible=non_identity).value
+    best = optimum(_equal_table(x), maximize=True, skip_identity=True).value
     return best < x.n * x.n
 
 
@@ -517,21 +498,27 @@ class Witnessed(NamedTuple):
 def optimum(
     table: np.ndarray,
     maximize: bool = False,
-    feasible: Callable[[np.ndarray], np.ndarray] | None = None,
+    allowed: np.ndarray | None = None,
+    skip_identity: bool = False,
     in_order: bool = False,
 ) -> Witnessed:
-    """Best total over the feasible permutations p, and the first p reaching it.
+    """Best total over a class of permutations p, and the first p reaching it.
 
     ``table`` is an (n, n, n*n) cell-pair table; the total of p is the sum
     over cells k = (i, j) of table[p_i, p_j, k] (see ``_Chunk.totals`` for
     ``in_order``), in the dtype ``_Chunk.totals`` takes; the value is a
-    Python float.  Ties break toward the lexicographically smallest
-    permutation.  The witness is None only when no permutation is feasible;
-    the value is then -inf when maximizing and inf when minimizing.
+    Python float.  The class is every p with allowed[k, p_k] at every k
+    (every p if ``allowed`` is None), less the identity if ``skip_identity``.
+    ``allowed`` must admit the identity, the first row, so that it wins a
+    tie at the worst value, the total of every row outside the class.
+    Ties break toward the lexicographically smallest permutation.  The
+    witness is None only for an empty class (``skip_identity`` at n <= 1),
+    with the value -inf when maximizing and inf when minimizing.
     """
     pick = np.argmax if maximize else np.argmin
     best, witness = (-math.inf if maximize else math.inf), None
-    for chunk in _chunks(table.shape[0], feasible):
+    table = _penalised(table, allowed, best)
+    for chunk in _chunks(table.shape[0], skip_identity):
         vals = chunk.totals(table, in_order)
         i = int(pick(vals))
         if witness is None or (vals[i] > best if maximize else vals[i] < best):
@@ -554,13 +541,15 @@ def _integral(x: np.ndarray, y: np.ndarray) -> int | None:
 
 
 def _near_best(ip: np.ndarray, eps: float) -> np.ndarray:
-    return np.flatnonzero(ip >= ip.max() - eps)
+    top = ip.max()  # -inf: every row is outside the class
+    return np.flatnonzero(ip >= top - eps) if top > -math.inf else np.empty(0, np.intp)
 
 
 def _inner_scan(
     x: np.ndarray,
     y: np.ndarray,
-    feasible: Callable[[np.ndarray], np.ndarray] | None,
+    allowed: np.ndarray | None,
+    skip_identity: bool,
     metric: bool,
 ) -> Witnessed:
     """``min_sq_over_group`` if metric, else ``max_inner_over_group``.
@@ -570,23 +559,31 @@ def _inner_scan(
     2<g, y> is then exact too and strictly decreasing in <g, y>.
     Otherwise one loop re-scores each chunk's shortlist in the reference
     form, ranked by float32 totals inside the window and by float64
-    totals outside it (``min_sq_over_group``).
+    totals outside it (``min_sq_over_group``).  Rows outside ``allowed``
+    rank at -inf, so a chunk whose best is -inf is skipped.  When 4 R^2
+    overflows, no sum ranks the rows: every row of the class totals 0 and
+    is re-scored.
     """
     xx, yy = np.einsum("ijc,ijc->", x, x), np.einsum("ijc,ijc->", y, y)
     r = math.sqrt(xx) + math.sqrt(yy)
     ranked = math.isfinite(4.0 * r * r)  # always under _integral
+    n, d = x.shape[0], x.shape[2]
     if ranked:
-        n, d = x.shape[0], x.shape[2]
         pairs = np.einsum("ac,kc->ak", x.reshape(n * n, d), y.reshape(n * n, d))
         table = pairs.reshape(n, n, n * n)
+    else:
+        table = np.zeros((n, n, n * n), dtype=np.float32)
+    table = _penalised(table, allowed, -math.inf)
     bound = _integral(x, y)
     if bound is not None:
         if bound < 2**24:
             table = table.astype(np.float32)
-        best, witness = optimum(table, maximize=True, feasible=feasible)
+        best, witness = optimum(table, maximize=True, skip_identity=skip_identity)
         return Witnessed(float(xx + yy) - 2.0 * best if metric else best, witness)
     terms = y.size + 3
-    if terms < 2**20 and 2.0**-100 < r * r < 2.0**100:
+    if not ranked:
+        eps = 0.0
+    elif terms < 2**20 and 2.0**-100 < r * r < 2.0**100:
         table = table.astype(np.float32)
         eps = 4.0 * terms * 2.0**-24 * r * r + terms * 2.0**-149
     else:
@@ -601,9 +598,9 @@ def _inner_scan(
 
     pick = np.argmin if metric else np.argmax
     best, witness = (math.inf if metric else -math.inf), None
-    for chunk in _chunks(x.shape[0], feasible):
+    for chunk in _chunks(n, skip_identity):
         # no name keeps the totals alive while the chunk is re-scored
-        short = _near_best(chunk.totals(table), eps) if ranked else np.arange(chunk.count)
+        short = _near_best(chunk.totals(table), eps)
         for start in range(0, len(short), _RESCORE):
             part = short[start : start + _RESCORE]
             vals = form(chunk.gather(x, part))
@@ -616,32 +613,36 @@ def _inner_scan(
 def max_inner_over_group(
     x: np.ndarray,
     y: np.ndarray,
-    feasible: Callable[[np.ndarray], np.ndarray] | None = None,
+    allowed: np.ndarray | None = None,
+    skip_identity: bool = False,
 ) -> Witnessed:
     """max over permutations p of <x[ix_(p,p)], y>, with the first maximizer.
 
-    The dot edit kernel.  Values and witnesses are those of scoring every
-    feasible row g in the reference form ``einsum("mijc,ijc->m", g, y)``;
+    The dot edit kernel; ``allowed`` and ``skip_identity`` restrict p as
+    in ``optimum``.  Values and witnesses are those of scoring every row g
+    of the class in the reference form ``einsum("mijc,ijc->m", g, y)``;
     that form decides among the rows the table ranks near each chunk's best
     (``_inner_scan``; the bound is derived in ``min_sq_over_group``),
-    _RESCORE rows at a time.  Without a feasible permutation the value is
-    -inf and the witness None.
+    _RESCORE rows at a time.  With an empty class the value is -inf and the
+    witness None.
     """
-    return _inner_scan(x, y, feasible, metric=False)
+    return _inner_scan(x, y, allowed, skip_identity, metric=False)
 
 
 def min_sq_over_group(
     x: np.ndarray,
     y: np.ndarray,
-    feasible: Callable[[np.ndarray], np.ndarray] | None = None,
+    allowed: np.ndarray | None = None,
+    skip_identity: bool = False,
 ) -> Witnessed:
     """min over permutations p of ||x[ix_(p,p)] - y||^2, with the first minimizer.
 
     Equals min over gamma of ||x - gamma y||^2 where gamma has images p; the
-    one implementation of the quotient metric.  ``feasible`` restricts p as
-    in ``optimum``.
+    one implementation of the quotient metric.  ``allowed`` and
+    ``skip_identity`` restrict p as in ``optimum``; with an empty class the
+    value is inf and the witness None.
 
-    Values and witnesses are those of scoring every feasible row g in the
+    Values and witnesses are those of scoring every row g of the class in the
     diff form fl(sum (g - y)^2); that form alone is evaluated on the rows
     that can win, which keeps exact zeros for isomorphic pairs.  Each chunk
     is first ranked by its table inner products <g, y>, and only the rows
@@ -709,7 +710,7 @@ def min_sq_over_group(
     the rounding term, so float32 shortlists stay as short as float64's;
     outside the window the table stays float64.
     """
-    return _inner_scan(x, y, feasible, metric=True)
+    return _inner_scan(x, y, allowed, skip_identity, metric=True)
 
 
 def quotient_distance(

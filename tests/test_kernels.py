@@ -216,6 +216,21 @@ def test_transformation_cost_rejects_nan_custom_cost():
         transformation_cost(x, y, swap, nan)
 
 
+def test_minus_infinite_custom_cost_is_rejected():
+    # A cost of -inf is rejected as NaN is, with its cells, under both
+    # classes; the padded compact scan would otherwise meet it with the inf
+    # of an excluded pair.
+    x = AttributedGraph(True, 1, [(0.0,), (2.0,), (0.0,)], [((0, 1), (1.0,))])
+    y = AttributedGraph(True, 1, [(1.0,), (0.0,)], [((0, 1), (3.0,))])
+    minus = EditCost.custom(lambda a, b: -math.inf if a[0] > 1.5 else abs(a[0] - b[0]))
+    for cls in ("all", "compact"):
+        with pytest.raises(ValueError, match=r"-inf for x cell \(1, 1\) and y cell \(0, 0\)"):
+            general_ged(x, y, minus, cls, order=5)
+    xm, ym = to_matrix(x), to_matrix(y, 3)
+    with pytest.raises(ValueError, match=r"-inf for x cell \(1, 1\) and y cell \(1, 1\)"):
+        transformation_cost(xm, ym, Permutation.identity(3), minus)
+
+
 def test_mcs_kernel_examples():
     same = mcs_kernel(TRIANGLE, TRIANGLE)
     assert same == (9, 3, 3)
@@ -287,20 +302,25 @@ def test_unknown_morphism_class_rejected():
 
 
 def test_compact_mask_matches_definition():
-    from graphspace.kernels import _compact_mask
+    # A permutation p is in the compact class when allowed admits the image
+    # p[k] of every y-node k; _allowed is None when the class is the group.
+    from graphspace.kernels import _allowed
     from graphspace.orbits import permutation_array
 
-    rng = np.random.default_rng(71)
-    for _ in range(40):
-        n = int(rng.integers(1, 6))
-        rx = int(rng.integers(0, n + 1))
-        ry = int(rng.integers(0, n + 1))
+    for n in range(6):
         perms = permutation_array(n)
-        mask = _compact_mask(perms, rx, ry)
-        for p, got in zip(perms, mask):
-            node_map = {int(p[k]): k for k in range(n)}  # x-node -> y-node
-            if rx <= ry:
-                expected = all(node_map[i] < ry for i in range(rx))
-            else:
-                expected = all(int(p[k]) < rx for k in range(ry))
-            assert bool(got) == expected
+        for rx in range(n + 1):
+            for ry in range(n + 1):
+                allowed = _allowed(rx, ry, "compact", n)
+                assert (allowed is None) == (max(rx, ry) == n)
+                if allowed is None:
+                    allowed = np.ones((n, n), dtype=bool)
+                mask = allowed[np.arange(n), perms].all(axis=1)
+                for p, got in zip(perms, mask):
+                    node_map = {int(p[k]): k for k in range(n)}  # x-node -> y-node
+                    if rx <= ry:
+                        expected = all(node_map[i] < ry for i in range(rx))
+                    else:
+                        expected = all(int(p[k]) < rx for k in range(ry))
+                    assert bool(got) == expected, (n, rx, ry, p)
+                assert _allowed(rx, ry, "all", n) is None

@@ -122,3 +122,21 @@ def test_over_guard_order_allocates_no_matrix(path):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_mcs_kernel_builds_each_matrix_once(monkeypatch):
+    # One padded matrix per graph: the witness's matched cells are read from
+    # the matrices its scan used.
+    calls = []
+    original = graphspace.kernels.to_matrix
+
+    def counting(g, n=None):
+        calls.append(n)
+        return original(g, n)
+
+    monkeypatch.setattr(graphspace.kernels, "to_matrix", counting)
+    for x, y in ((CENTER, PAIR), (PAIR, CENTER), (SMALL, SMALL)):
+        calls.clear()
+        res = mcs_kernel(x, y)
+        assert calls == [max(x.order, y.order)] * 2
+        assert res.value == edit_kernel(x, y, graphspace.DELTA, "compact").value

@@ -109,12 +109,12 @@ def _cells_cost(a, b):
     return float(sum(abs(u - v) for u, v in zip(a, b))) + (0.5 if a != b else 0.0)
 
 
-def custom_score(xm, ym):
+def custom_score(xm, ym, cost=_cells_cost):
     n = xm.shape[0]
 
     def score(p):
         return np.array([
-            sum(_cells_cost(tuple(xm[q[k], q[l]]), tuple(ym[k, l]))
+            sum(cost(tuple(xm[q[k], q[l]]), tuple(ym[k, l]))
                 for k in range(n) for l in range(n))
             for q in p
         ])
@@ -254,40 +254,43 @@ def test_blocks_concatenate_to_the_lex_ordered_group(n):
     assert offset == math.factorial(n) and next(perms, None) is None
 
 
-def _masks(n):
-    """No mask, dense and sparse row patterns, and a compact class that drops
-    whole blocks at n = 9."""
+def _classes(n):
+    """(allowed, skip_identity) of the whole group, the group without the
+    identity, and compact classes with rx < ry and with rx > ry, which
+    excludes whole blocks at n = 9."""
     return {
-        "none": None,
-        "dense": lambda block: np.arange(len(block)) % 3 != 1,
-        "sparse": lambda block: np.arange(len(block)) % 3 == 1,
-        "compact": lambda block: kernels._compact_mask(block, max(n - 4, 0), max(n - 3, 0)),
+        "all": (None, False),
+        "non-identity": (None, True),
+        "compact-up": (kernels._allowed(max(n - 4, 0), max(n - 3, 0), "compact", n), False),
+        "compact-down": (kernels._allowed(max(n - 3, 0), max(n - 4, 0), "compact", n), False),
     }
+
+
+def _admitted(allowed, p):
+    """Row mask of the permutations p that allowed admits."""
+    return np.ones(len(p), bool) if allowed is None else allowed[np.arange(p.shape[1]), p].all(1)
 
 
 @pytest.mark.parametrize("n, d", [(0, 1), (1, 2), (5, 3), (8, 2), (9, 1)])
 def test_flat_gather_equals_reference_gather(n, d, monkeypatch):
-    # The rows a masked scan gathers, picked by their flat positions in the
-    # lex-ordered group, are the reference gathers of those permutations.
+    # The rows a scan gathers, picked by their flat positions in the
+    # lex-ordered group, are the reference gathers of those permutations;
+    # a scan without the identity starts at the group's second row.
     monkeypatch.setattr(orbits, "_CHUNK", 5)  # divides neither 8 nor 72 blocks
     cells = np.random.default_rng(n).normal(size=(n, n, d))
     group = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     group = group.reshape(math.factorial(n), n)
-    for name, feasible in _masks(n).items():
-        flat = np.arange(len(group))
-        if feasible is not None:
-            base = orbits._base(n)
-            mask = np.concatenate([feasible(sigma[base]) for sigmas in
-                                   orbits.iter_permutation_blocks(n) for sigma in sigmas])
-            flat = flat[mask]
+    for skip_identity in (False, True):
+        flat = np.arange(int(skip_identity), len(group))
         start = 0
-        for chunk in orbits._chunks(n, feasible):
+        for chunk in orbits._chunks(n, skip_identity):
+            assert chunk.count > 0
             rows = flat[start : start + chunk.count]
-            assert np.array_equal(chunk.perms(np.arange(chunk.count)), group[rows]), name
+            assert np.array_equal(chunk.perms(np.arange(chunk.count)), group[rows])
             ref = orbits.gather(cells, group[rows[::7]])
             assert np.array_equal(chunk.gather(cells, np.arange(0, chunk.count, 7)), ref)
             start += chunk.count
-        assert start == len(flat), name
+        assert start == len(flat), skip_identity
 
 
 def test_order_nine_scan_builds_no_table_beyond_seven(monkeypatch):
@@ -431,6 +434,8 @@ def test_table_totals_equal_reference_totals(n, monkeypatch):
     # the float32 certificate too, so every kind is totalled from a float32
     # and a float64 table, each in its own dtype, and every integer kind
     # from its table as built (boolean or integer), in float32.
+    # A class's excluded rows total the worst value of their kind's scan,
+    # -inf for the kernels and the equality count, inf for the costs.
     monkeypatch.setattr(orbits, "_CHUNK", 5)
     rng = np.random.default_rng(100 + n)
     d = 1 + n % 2 if n < 9 else 1
@@ -441,27 +446,35 @@ def test_table_totals_equal_reference_totals(n, monkeypatch):
     tables = {(kind, dtype): _table(kind, x, y).astype(dtype)
               for kind in TOTAL_KINDS for dtype in (np.float32, np.float64)}
     tables |= {(kind, None): _table(kind, x, y) for kind in TOTAL_KINDS if kind != "dot"}
+    worst = {kind: math.inf if kind in ("cost-delta", "uniform") else -math.inf
+             for kind in TOTAL_KINDS}
     cost = EditCost.custom(_cells_cost)
     custom = kernels._cost_table(x, y, cost) if n < 9 else None
-    for name, feasible in _masks(n).items():
-        for chunk in orbits._chunks(n, feasible):
-            got = {key: chunk.totals(table) for key, table in tables.items()}
+    for name, (allowed, skip_identity) in _classes(n).items():
+        scanned = tables if allowed is None else {
+            (kind, dtype): orbits._penalised(table, allowed, worst[kind])
+            for (kind, dtype), table in tables.items()}
+        for chunk in orbits._chunks(n, skip_identity):
+            got = {key: chunk.totals(table) for key, table in scanned.items()}
             for start in range(0, chunk.count, 5040):
                 which = np.arange(start, min(start + 5040, chunk.count))
-                g = orbits.gather(x, chunk.perms(which))
+                p = chunk.perms(which)
+                g, ok = orbits.gather(x, p), _admitted(allowed, p)
                 for kind, dtype in tables:
-                    ref = _ref_totals(kind, g, x, y)
+                    ref = np.where(ok, _ref_totals(kind, g, x, y), worst[kind])
                     total = got[kind, dtype]
                     assert total.dtype == (dtype or np.float32), (name, kind)
                     assert np.array_equal(total[which].astype(np.float64), ref), (name, kind, dtype)
         if custom is None:
             continue
-        for chunk in orbits._chunks(n, feasible):
+        table = custom if allowed is None else orbits._penalised(custom, allowed, math.inf)
+        for chunk in orbits._chunks(n, skip_identity):
             sample = np.arange(0, chunk.count, 53)
-            g = orbits.gather(x, chunk.perms(sample))
+            p = chunk.perms(sample)
             ref = [float(sum(cost(tuple(row[k, l]), tuple(y[k, l]))
-                             for k in range(n) for l in range(n))) for row in g]
-            got = chunk.totals(custom, in_order=True)[sample]
+                             for k in range(n) for l in range(n))) if good else math.inf
+                   for row, good in zip(orbits.gather(x, p), _admitted(allowed, p))]
+            got = chunk.totals(table, in_order=True)[sample]
             assert [v.hex() for v in got] == [v.hex() for v in ref], name
 
 
@@ -482,6 +495,31 @@ def test_custom_cost_is_called_once_per_cell_pair():
         xm, ym = matrices(x, y, 5)
         feasible = compact(x.order, y.order) if morphisms == "compact" else None
         assert (res.value, res.witness.images) == ref_optimum(5, custom_score(xm, ym), False, feasible)
+
+
+def _inf_cost(a, b):
+    """Infinite where an x cell above 1.5 meets a different y cell."""
+    return math.inf if a[0] > 1.5 and a != b else _cells_cost(a, b)
+
+
+def test_infinite_custom_cost_ties_resolve_as_among_the_class():
+    # Rows that meet an infinite cost total inf, as do the rows a padded
+    # compact scan excludes; where every compact row totals inf, the tie
+    # resolves to the identity, the first row and a compact one.
+    rng = np.random.default_rng(11)
+    infinite = set()
+    for _ in range(12):
+        x = random_graph(rng, 4, 1, attrs="int")
+        y = random_graph(rng, 3, 1, attrs="int")
+        xm, ym = matrices(x, y, 5)
+        ref_score = custom_score(xm, ym, _inf_cost)
+        for morphisms in ("all", "compact"):
+            res = general_ged(x, y, EditCost.custom(_inf_cost), morphisms, order=5)
+            feasible = compact(x.order, y.order) if morphisms == "compact" else None
+            ref = ref_optimum(5, ref_score, False, feasible)
+            assert _bits(res.value, res.witness.images) == _bits(*ref), morphisms
+            infinite.add(math.isinf(res.value))
+    assert infinite == {True, False}
 
 
 def _tenth_cost(a, b):
@@ -618,22 +656,29 @@ def test_domain_margin_matches_reference_at_the_certificate_boundary(n, d, seed,
     assert margin.hex() == (GraphMatrix(x).inner(GraphMatrix(z)) - rest).hex()
 
 
-@pytest.mark.parametrize("n", [3, 8])
-@pytest.mark.parametrize("kind", ["int", "gauss"])
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("kind", ["int", "gauss", "huge"])
 def test_infeasible_scan_has_no_witness(n, kind):
-    # Certified integers reduce through optimum, Gaussian cells through the
-    # re-scoring loop; without a feasible row both report the start value
-    # of their reduction, -inf or inf, and no witness.
+    # At n <= 1 the identity is the only permutation, so a scan without it
+    # has no row.  Certified integers reduce through optimum, Gaussian cells
+    # through the re-scoring loop, and cells whose 4 R^2 overflows through
+    # the loop without a table; each reports the start value of its
+    # reduction, -inf or inf, and no witness.
     rng = np.random.default_rng(n)
     if kind == "int":
         x, y = (rng.integers(-1, 3, size=(n, n, 2)).astype(float) for _ in range(2))
     else:
         x, y = rng.normal(size=(n, n, 2)), rng.normal(size=(n, n, 2))
-    assert (orbits._integral(x, y) is not None) == (kind == "int")
-    none = lambda p: np.zeros(len(p), dtype=bool)  # noqa: E731
-    assert orbits.min_sq_over_group(x, y, none) == (math.inf, None)
-    assert orbits.max_inner_over_group(x, y, none) == (-math.inf, None)
-    assert orbits.optimum(_table("dot", x, y), True, none) == (-math.inf, None)
+        if kind == "huge":
+            x, y = 1e160 * x, 1e160 * y
+    if n:  # an empty pair is certified
+        assert (orbits._integral(x, y) is not None) == (kind == "int")
+    assert orbits.min_sq_over_group(x, y, skip_identity=True) == (math.inf, None)
+    assert orbits.max_inner_over_group(x, y, skip_identity=True) == (-math.inf, None)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge products overflow
+        table = _table("dot", x, y)
+    assert orbits.optimum(table, True, skip_identity=True) == (-math.inf, None)
+    assert orbits.optimum(table, skip_identity=True) == (math.inf, None)
 
 
 def test_scans_total_in_float32_where_exact_or_ranked(monkeypatch):
@@ -675,34 +720,90 @@ def test_scans_total_in_float32_where_exact_or_ranked(monkeypatch):
     assert dtype_of(lambda: general_ged(g, h, EditCost.custom(_cells_cost))) == np.float64
 
 
-# ------------------------------------------------ masks and memory of a scan
+# ------------------------------------- bijection classes and memory of a scan
 
 
 def test_compact_class_without_padding_builds_no_mask(monkeypatch):
     # When the larger graph fills the padded order, every bijection is
-    # compact, so the compact scans are the scans of the whole group.
+    # compact, so the compact scans are the scans of the whole group and
+    # penalise no table.
     calls = []
-    real = kernels._compact_mask
+    real = orbits._penalised
 
-    def counting(block, rx, ry):
-        calls.append(len(block))
-        return real(block, rx, ry)
+    def counting(table, allowed, worst):
+        calls.append(allowed)
+        return real(table, allowed, worst)
 
-    monkeypatch.setattr(kernels, "_compact_mask", counting)
+    monkeypatch.setattr(orbits, "_penalised", counting)
     rng = np.random.default_rng(43)
     for order in (3, 6, 8):
         x = random_graph(rng, order, 2, attrs="int")
         y = random_graph(rng, order - 2, 2)
         for a, b in ((x, y), (y, x)):
+            assert kernels._allowed(a.order, b.order, "compact", order) is None
             for score in (DOT, DELTA):
                 res = edit_kernel(a, b, score, "compact")
                 assert res == edit_kernel(a, b, score, "all")
             for cost in (EditCost.uniform(), EditCost.from_kernel(DOT)):
                 assert general_ged(a, b, cost, "compact") == general_ged(a, b, cost, "all")
         graphspace.mcs_kernel(x, y)
-    assert calls == []
-    edit_kernel(x, y, DELTA, "compact", order=9)  # padding: the mask applies
-    assert calls
+    assert calls and all(allowed is None for allowed in calls)
+    calls.clear()
+    edit_kernel(x, y, DELTA, "compact", order=9)  # padding: the class applies
+    assert [allowed.shape for allowed in calls] == [(9, 9)]
+
+
+def _left_to_right_tenth(xm, ym):
+    """Totals of ``_tenth_cost`` over every row, cell by cell in (k, l) order."""
+    n = len(xm)
+
+    def score(p):
+        total = np.zeros(len(p))
+        for k in range(n):
+            for l in range(n):
+                total += 0.1 * np.abs(xm[p[:, k], p[:, l], 0] - ym[k, l, 0])
+        return total
+
+    return score
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_compact_scans_skip_chunks_without_a_compact_row(n, monkeypatch):
+    # With one block per chunk and rx > ry, every chunk whose prefix sends a
+    # y-node below ry to padding holds no compact row.  Its totals are all
+    # the worst value; a scan that shortlisted them would re-score excluded
+    # rows.  Here y-node 0 is negative and x nonnegative, so the best
+    # excluded rows send y-node 0 to padding, in those chunks, and beat
+    # every compact row.
+    monkeypatch.setattr(orbits, "_CHUNK", 1)
+    rng = np.random.default_rng(300 + n)
+    rx, ry = n - 1, n - 4
+    def cost_delta(xm, ym):
+        return lambda p: _ref_totals("cost-delta", permuted(xm, p), xm, ym)
+
+    kinds = {
+        "int": [(DOT, dot_score, True), (DELTA, delta_score, True),
+                (EditCost.uniform(), uniform_score, False),
+                (EditCost.from_kernel(DELTA), cost_delta, False)],
+        "gauss": [(DOT, dot_form, True), (EditCost.from_kernel(DOT), diff_form, False),
+                  (EditCost.custom(_tenth_cost), _left_to_right_tenth, False)],
+    }
+    for attrs, scans in kinds.items():
+        if attrs == "int":
+            xc, yc = rng.integers(0, 3, size=(rx, rx, 1)), rng.integers(0, 3, size=(ry, ry, 1))
+        else:
+            xc, yc = np.abs(rng.normal(size=(rx, rx, 1))), np.abs(rng.normal(size=(ry, ry, 1)))
+        yc[0, :] = yc[:, 0] = -5.0  # y-node 0 and its edges
+        x = from_matrix(GraphMatrix(xc.astype(float)), directed=True)
+        y = from_matrix(GraphMatrix(yc.astype(float)), directed=True)
+        xm, ym = matrices(x, y, n)
+        for how, ref_score, maximize in scans:
+            if maximize:
+                res = edit_kernel(x, y, how, "compact", order=n)
+            else:
+                res = general_ged(x, y, how, "compact", order=n)
+            ref = ref_optimum(n, ref_score(xm, ym), maximize, compact(rx, ry))
+            assert _bits(res.value, res.witness.images) == _bits(*ref), (attrs, how)
 
 
 def _traced_peak(fn):

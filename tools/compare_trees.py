@@ -12,17 +12,22 @@ integers at the edge of the engine's exactness certificate, plus 1e160- and
 0.1-scaled copies), integers on both sides of the float32 certificate
 N (max|x| + max|y|)^2 < 2^24, and Gaussian near-ties scaled just inside and
 just outside both edges of the float32 ranking window
-2^-100 < (||x|| + ||y||)^2 < 2^100.  They call the kernels, metrics, isotropy
-checks, alignments and means of the package (a custom edit cost at orders up to 6,
-and up to 9 for d = 1); ``gram`` CSVs of both kinds, and the stdout and exit
-code of ``check`` for every suite, are compared byte for byte.  Padding
-cases pad above the inputs' order (midpoints, alignments, means, greedy
-bounds, ``gram --order N+1`` and ``gram --pad pairwise-sum``, and the stdout
-and exit code of ``align`` and ``mean`` on one seeded set), and pass an order
-below a graph's or above the guard, where only the error's type is
-compared.  Inputs are
-built with numpy here, not with the trees' own samplers, so both trees see
-the same graphs.
+2^-100 < (||x|| + ||y||)^2 < 2^100.  Padded pairs also come with the smaller
+graph first (orders 8 and 9), scaled by 1e160, and with a negative y-node
+that compact bijections may not route through padding, at unit scale and
+scaled so that 4 R^2 overflows; at order 9 that pair leaves a whole chunk
+without a compact row.  They call the kernels, metrics, isotropy checks,
+alignments and means of the package (a custom edit cost at orders up to 6,
+and up to 9 for d = 1, and one with infinite entries at orders up to 6), and
+the isotropy checks and Dirichlet domains of order-9 unit stars and cycles
+and of ordinary copies of them; ``gram`` CSVs of both kinds, and the stdout
+and exit code of ``check`` for every suite, are compared byte for byte.
+Padding cases pad above the inputs' order (midpoints, alignments, means,
+greedy bounds, ``gram --order N+1`` and ``gram --pad pairwise-sum``, and the
+stdout and exit code of ``align`` and ``mean`` on one seeded set), and pass an
+order below a graph's or above the guard, where only the error's type is
+compared.  Inputs are built with numpy here, not with the trees' own
+samplers, so both trees see the same graphs.
 
 Exit status 0 when every result is identical, 1 otherwise (the differing
 cases are listed).
@@ -129,11 +134,36 @@ def _pairs(n, d):
         y = x[np.ix_(p, p)] + 1e-13 * rng.normal(size=x.shape)
         scale = math.sqrt(r2) / (np.linalg.norm(x) + np.linalg.norm(y))
         out.append((f"window-{side}", x * scale, y * scale, n))
+    if n >= 8:  # padded with the smaller graph first (rx < ry)
+        x, y = rng.normal(size=(2, n, n, d))
+        out.append(("padded-up", x[: n - 3, : n - 3], y[: n - 2, : n - 2], n))
+    if n >= 3:  # 4 R^2 overflows: compact scans re-score the rows the class admits
+        x = rng.integers(0, 3, size=(n - 1, n - 1, d)) * 1e160
+        out.append(("huge-padded", x, x[::-1, ::-1][1:, 1:].copy(), n))
+    if n >= 3 and d == 1:
+        # x nonnegative and y-node 0 negative, so the best bijections route
+        # y-node 0 through padding and compact optima differ from the
+        # group's; at n = 9, rx = 6 > ry = 4 leaves the chunk of prefixes
+        # from 6 on without a compact row
+        rx, ry = (6, 4) if n == 9 else (n - 1, n - 2)
+        x = np.abs(rng.normal(size=(rx, rx, d)))
+        y = np.abs(rng.normal(size=(ry, ry, d)))
+        y[0, :] = y[:, 0] = -3.0
+        out.append(("negative-padded", x, y, n))
+        # scaled to R = ||x|| + ||y|| = 1e154: 4 R^2 overflows, R^2 does not
+        scale = 1e154 / (np.linalg.norm(x) + np.linalg.norm(y))
+        out.append(("negative-overflow", x * scale, y * scale, n))
     return out
 
 
 def _custom_cost(a, b):
     return float(sum(abs(u - v) for u, v in zip(a, b))) + (0.5 if a != b else 0.0)
+
+
+def _inf_cost(a, b):
+    """Infinite for x cells above 1.5: where x holds one, every row totals
+    inf and the tie goes to the first row."""
+    return math.inf if a[0] > 1.5 else _custom_cost(a, b)
 
 
 def _cases(gs):
@@ -158,6 +188,10 @@ def _cases(gs):
                 for cost in costs:
                     yield (f"{tag} general_ged {cost.kind} compact",
                            lambda c=cost: gs.general_ged(x, y, c, "compact", order=order))
+                if n <= 6:
+                    yield (f"{tag} general_ged custom-inf compact",
+                           lambda: gs.general_ged(x, y, gs.EditCost.custom(_inf_cost),
+                                                  "compact", order=order))
                 yield (f"{tag} induced_metric",
                        lambda: gs.induced_metric(x, y, order=order))
                 if n <= 8 or family in ("unit", "relabelled"):
@@ -170,6 +204,26 @@ def _cases(gs):
                     yield (f"{tag} sample_mean",
                            lambda: gs.sample_mean([x, y, gs.scalar_mult(0.5, x)], max_iter=5))
                 yield from _padding_cases(gs, tag, x, y, order)
+    yield from _symmetric_cases(gs)
+
+
+def _symmetric_cases(gs):
+    """Scans without the identity at order 9: unit stars and cycles, whose
+    isotropy is large, and copies with distinct node labels, which are
+    ordinary, as integers and scaled by 0.1."""
+    n = 9
+    for step, shape in enumerate(("cycle", "star")):
+        unit = _cells(None, n, 1, "unit", step)
+        labelled = unit.copy()
+        labelled[np.arange(n), np.arange(n), 0] = np.arange(1, n + 1)
+        for name, cells in (("unit", unit), ("labelled", labelled),
+                            ("labelled-tenth", 0.1 * labelled)):
+            g = gs.from_matrix(gs.GraphMatrix(cells), directed=True)
+            tag = f"n={n} {name} {shape}"
+            yield f"{tag} is_ordinary", lambda m=gs.GraphMatrix(cells): gs.is_ordinary(m)
+            yield f"{tag} rho_star", lambda g=g: gs.Alignment(g).rho_star
+            yield (f"{tag} domain_margin",
+                   lambda g=g: gs.Alignment(g).domain_margin(gs.GraphMatrix(unit)))
 
 
 def _alignment_cases(gs, tag, x, y, ym, order):
