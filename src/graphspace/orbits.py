@@ -51,18 +51,26 @@ The scan is memory-bounded and never materialises the whole group:
   per block, a cell between a fixed and a free position joins the free
   diagonal, and cell (i, j) joins cell (j, i).  A row total is then the
   constant plus m(m+1)/2 entries, 28 instead of n*n = 81 at n = 9.
-* One index table.  The entries are read through one cached
-  (m(m+1)/2, m!) table of offsets, ``_offsets(m)``, which depends neither on
-  n beyond m nor on the attribute dimension d (1.1 MB for m = 7).  With the
-  folded entries of a chunk laid out as an (m*m*m(m+1)/2, blocks) matrix, a
-  row of offsets reads that entry for every row of every block at once, and
-  the 28 reads are added in order, as a per-block sum over them would; a
-  one-block chunk (every scan at n <= 7) reads all 28 rows in one index.
+* Prefix-tree totals.  A row's entries are summed over the lex prefix
+  tree of its m free positions (``_tree(m)``): a node's total is its
+  parent's plus the entries of the cells that its new positions close, a
+  cell (i, j), i <= j, closing at position j.  For m = 7 the levels end at
+  the prefix lengths 4, 5 and 7, so a block reads 840 * 10 + 2520 * 5 +
+  5040 * 13 = 86,520 entries instead of 5040 * 28 = 141,120; below, one
+  level reads every cell of every row.  The offsets depend neither on n
+  beyond m nor on the attribute dimension d.  A one-block chunk (every scan
+  at n <= 7) reads each level in one index; a chunk of several lays its
+  folded entries out as an (m*m*m(m+1)/2, blocks) matrix, and one row of
+  offsets reads that entry for every node of every block at once.
 * Memory.  A scan holds its table, n**4 * 8 bytes (52 KB at n = 9), and
-  its penalised copy, and per chunk its relabelled tables (1.3 MB at
-  n = 9), the totals of its rows with one read row beside them
-  (2 * 5040 * 24 * 8 bytes, 1.9 MB), and at most _RESCORE re-scored rows;
-  about 4 MB in all, at any order.
+  its penalised copy, per chunk its relabelled tables (1.3 MB at n = 9)
+  and at most _RESCORE re-scored rows.  A chunk of several blocks totals
+  into buffers of its thread, which every later chunk and scan on that
+  thread reuses (``_reused``), so the totals allocate nothing once the
+  thread has totalled a chunk as large: the entries by offset, two levels
+  of node totals and the entries read (which then hold the totals in lex
+  order), (1372 + 5040 + 2520 + 5040) * 24 * 8 bytes, 2.6 MiB.  A float64
+  scan at n = 9 peaks at 4.6 MiB with them, about 5 MB at any order.
   Totals are taken in the table's dtype, and reading the entries is most
   of a scan's time, bound by memory traffic, so a float32 table halves
   the relabelled tables and the totals, and the bytes a scan reads.
@@ -98,6 +106,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -183,9 +192,15 @@ class Permutation:
 @lru_cache(maxsize=None)
 def permutation_array(n: int) -> np.ndarray:
     """All permutations of 0..n-1, one per row, in lexicographic order."""
-    arr = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    if n == 0:
-        arr = arr.reshape(1, 0)
+    arr = np.zeros((1, 0), dtype=np.intp)
+    for k in range(1, n + 1):
+        # the rows that start with v follow v with the rows of 0..k-2, every
+        # image from v on raised by one
+        first = np.arange(k)[:, None, None]
+        grown = np.empty((k, len(arr), k), dtype=np.intp)
+        grown[:, :, 0] = first[:, :, 0]
+        grown[:, :, 1:] = arr + (arr >= first)
+        arr = grown.reshape(-1, k)
     arr.flags.writeable = False
     return arr
 
@@ -204,16 +219,26 @@ def _base(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _offsets(m: int) -> np.ndarray:
-    """(m(m+1)/2, m!) offsets into an (m, m, m(m+1)/2) pair table (``_fold``):
-    for the u-th cell (i, j), i <= j, of an m x m matrix in C order and the
-    r-th permutation t of ``permutation_array(m)``, entry [u, r] is
+def _tree(m: int) -> tuple[np.ndarray, ...]:
+    """Offsets into an (m, m, m(m+1)/2) pair table (``_fold``), one
+    (cells, nodes) table per level of the lex prefix tree of m positions.
+    The levels end at the prefix lengths m - 3, m - 2 and m for m = 7, and
+    at m alone below.  A level's nodes are the prefixes t of its length in
+    lex order (a node's children are consecutive in the next level), its
+    cells the (i, j), i <= j, whose j it adds, and its entry for the u-th
+    cell of the m x m matrix in C order and node t is
     (t_i*m + t_j) * m(m+1)/2 + u."""
     perms = permutation_array(m)
     i, j = np.triu_indices(m)
-    offsets = ((perms[:, i] * m + perms[:, j]) * len(i) + np.arange(len(i))).T.copy()
-    offsets.flags.writeable = False
-    return offsets
+    levels, lo = [], 0
+    for hi in (m - 3, m - 2, m) if m == _FREE else (m,):
+        u = np.flatnonzero((lo <= j) & (j < hi))
+        nodes = perms[:: math.factorial(m - hi), :hi]
+        level = ((nodes[:, i[u]] * m + nodes[:, j[u]]) * len(i) + u).T.copy()
+        level.flags.writeable = False
+        levels.append(level)
+        lo = hi
+    return tuple(levels)
 
 
 @lru_cache(maxsize=None)
@@ -338,6 +363,21 @@ class Orbit:
                    for e in self.elements)
 
 
+_buffers = threading.local()
+
+
+def _reused(name: str, rows: int, cols: int, dtype: np.dtype) -> np.ndarray:
+    """A (rows, cols) array in this thread's buffer ``name``, which every
+    later call on the thread reuses (grown when too small), so a scan's
+    chunks allocate no totals of their own."""
+    nbytes = rows * cols * np.dtype(dtype).itemsize
+    buf = getattr(_buffers, name, None)
+    if buf is None or buf.size < nbytes:
+        buf = np.empty(nbytes, dtype=np.uint8)
+        setattr(_buffers, name, buf)
+    return buf[:nbytes].view(dtype).reshape(rows, cols)
+
+
 class _Chunk(NamedTuple):
     """Consecutive prefix blocks of one scan, and the rows it scores.
 
@@ -370,11 +410,15 @@ class _Chunk(NamedTuple):
 
         By default the table is relabelled by every block at once and folded
         (``_fold``), and a row's total is its block's constant plus its
-        m(m+1)/2 pair entries, read through ``_offsets`` and added in order
-        u = 0, 1, ...; the fold regroups the cell scores, which is exact for
-        integer-valued tables.  ``in_order`` reads each row's n*n entries
-        and adds them one at a time, left to right in cell order, the one
-        order that defines a total of arbitrary floats here.
+        m(m+1)/2 pair entries, added level by level over the lex prefix tree
+        (``_tree``): the fold and the tree regroup the cell scores, which is
+        exact for integer-valued tables and within the shortlist bound of
+        ``min_sq_over_group`` for any other.  With several blocks, the
+        result is a view of a buffer of this thread, valid until the next
+        ``totals`` call on it; read it (or copy it) at once.  ``in_order``
+        reads each row's n*n entries and adds them one at a time, left to
+        right in cell order, the one order that defines a total of
+        arbitrary floats here.
         """
         if table.dtype.kind in "biu":
             table = table.astype(np.float32)
@@ -390,20 +434,31 @@ class _Chunk(NamedTuple):
                     t += entries[:, k]
             return total.reshape(-1)[self.start :]
         const, pairs = _fold(table[sig[:, :, None], sig[:, None, :]])
-        offsets = _offsets(min(n, _FREE))
+        tree = _tree(min(n, _FREE))
         if len(sig) == 1:
-            total = const + pairs.reshape(-1)[offsets].sum(axis=0)
-        else:
-            # one row of entries per pair offset, one column per block
-            by_offset = pairs.T.copy()
-            total = np.take(by_offset, offsets[0], axis=0, mode="clip")
-            entries = np.empty_like(total)
-            for u in offsets[1:]:
-                total += np.take(by_offset, u, axis=0, out=entries, mode="clip")
-            total += const
-            np.copyto(entries.reshape(len(sig), -1), total.T)  # lex order, in the spare buffer
-            total = entries.reshape(-1)
-        return total[self.start :]
+            flat, total = pairs.reshape(-1), const
+            for level in tree:
+                sums = flat[level].sum(axis=0).reshape(len(total), -1)
+                total = (sums + total[:, None]).reshape(-1)
+            return total[self.start :]
+        c, dtype = len(sig), pairs.dtype
+        # one row of entries per pair offset, one column per block
+        by_offset = _reused("offsets", pairs.shape[1], c, dtype)
+        np.copyto(by_offset, pairs.T)
+        total = const[None, :]  # the root's: one node, one column per block
+        for t, level in enumerate(tree):
+            # levels alternate between two buffers: the parents' stay intact
+            node = _reused(f"level{t % 2}", level.shape[1], c, dtype)
+            entries = _reused("entries", level.shape[1], c, dtype)
+            np.take(by_offset, level[0], axis=0, out=node, mode="clip")
+            for u in level[1:]:
+                node += np.take(by_offset, u, axis=0, out=entries, mode="clip")
+            children = node.reshape(len(total), -1, c)
+            children += total[:, None, :]
+            total = node
+        out = _reused("entries", c, len(total), dtype)
+        np.copyto(out, total.T)  # lex order, in the spare buffer
+        return out.reshape(-1)[self.start :]
 
     def gather(self, cells: np.ndarray, which: np.ndarray) -> np.ndarray:
         """``gather(cells, self.perms(which))``.

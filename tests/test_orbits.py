@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from graphspace import (
     quotient_distance,
     to_matrix,
 )
+from graphspace.orbits import permutation_array
 from graphspace.sampling import random_graph
 
 
@@ -26,6 +28,16 @@ def unit_cycle_matrix(n) -> GraphMatrix:
     for i in range(n):
         cells[i, (i + 1) % n] = cells[(i + 1) % n, i] = 1.0
     return GraphMatrix(cells)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_permutation_array_is_the_lex_enumeration(n):
+    ref = list(itertools.permutations(range(n)))
+    perms = permutation_array(n)
+    assert perms.shape == (len(ref), n)  # (1, 0) at n = 0: the empty permutation
+    assert perms.dtype == np.intp
+    assert not perms.flags.writeable
+    assert [tuple(map(int, row)) for row in perms] == ref
 
 
 def test_permutation_validation_and_group_ops():

@@ -13,6 +13,8 @@ bit with the diff form evaluated on every row.
 import itertools
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -303,7 +305,7 @@ def test_order_nine_scan_builds_no_table_beyond_seven(monkeypatch):
 
     monkeypatch.setattr(orbits, "permutation_array", counting)
     orbits._base.cache_clear()
-    orbits._offsets.cache_clear()
+    orbits._tree.cache_clear()
     try:
         x, y = unit_cycle(9), unit_path(9)
         quotient_distance(to_matrix(x), to_matrix(y))
@@ -311,8 +313,85 @@ def test_order_nine_scan_builds_no_table_beyond_seven(monkeypatch):
         assert not is_ordinary(to_matrix(x))
     finally:
         orbits._base.cache_clear()
-        orbits._offsets.cache_clear()
+        orbits._tree.cache_clear()
     assert orders and max(orders) <= 7
+
+
+def test_totals_reuse_the_buffers_of_their_thread():
+    # A multi-block chunk totals into buffers of its thread: a second scan on
+    # the thread reuses them, and a scan on another thread has its own.
+    x = np.random.default_rng(4).normal(size=(8, 8, 1))
+
+    def buffers():
+        return dict(vars(orbits._buffers))
+
+    def scan():
+        orbits.min_sq_over_group(x, x[::-1, ::-1])
+        chunk = next(orbits._chunks(8))
+        return chunk.totals(_table("dot", x, x).astype(np.float32))
+
+    first, mine = scan(), buffers()
+    assert mine  # n = 8 is one chunk of 8 blocks
+    second = scan()
+    assert buffers().keys() == mine.keys()
+    assert all(buffers()[k] is v for k, v in mine.items())
+    assert np.shares_memory(first, second)
+    theirs = {}
+
+    def other():
+        theirs["totals"] = scan()
+        theirs.update(buffers())
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert theirs.keys() - {"totals"} == mine.keys()
+    assert not any(np.shares_memory(theirs[k], v) for k, v in mine.items())
+    assert not np.shares_memory(theirs["totals"], second)
+    assert np.array_equal(theirs["totals"], second)
+
+
+def test_concurrent_scans_equal_serial_scans():
+    # Three threads run order 8 and 9 kernel and metric scans at once, each
+    # in its own order; every value and witness equals the serial run's.
+    rng = np.random.default_rng(12)
+    jobs = []
+    for n in (8, 9):
+        gx, gy = rng.normal(size=(2, n, n, 1))
+        ix, iy = rng.integers(-2, 3, size=(2, n, n, 1)).astype(float)
+        jobs += [
+            lambda gx=gx, gy=gy: orbits.min_sq_over_group(gx, gy),
+            lambda gx=gx, gy=gy: orbits.max_inner_over_group(gx, gy),
+            lambda ix=ix, iy=iy: orbits.min_sq_over_group(ix, iy),
+            lambda ix=ix, iy=iy: orbits.optimum(_table("delta", ix, iy), maximize=True),
+        ]
+
+    def bits(res):
+        return _bits(res.value, res.witness.images)
+
+    serial = [bits(job()) for job in jobs]
+    start = threading.Barrier(3, timeout=60)
+    found = [None] * 3
+
+    def run(t):
+        order = list(range(len(jobs)))[t:] + list(range(len(jobs)))[:t]
+        start.wait()
+        found[t] = {i: bits(jobs[i]()) for i in order}
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads inside every scan
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got in found:
+        assert [got[i] for i in range(len(jobs))] == serial
 
 
 def diff_form(x, y):
@@ -455,7 +534,8 @@ def test_table_totals_equal_reference_totals(n, monkeypatch):
             (kind, dtype): orbits._penalised(table, allowed, worst[kind])
             for (kind, dtype), table in tables.items()}
         for chunk in orbits._chunks(n, skip_identity):
-            got = {key: chunk.totals(table) for key, table in scanned.items()}
+            # a result is valid until the next totals call on the thread
+            got = {key: chunk.totals(table).copy() for key, table in scanned.items()}
             for start in range(0, chunk.count, 5040):
                 which = np.arange(start, min(start + 5040, chunk.count))
                 p = chunk.perms(which)
