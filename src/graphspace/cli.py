@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .alignment import Alignment
@@ -116,6 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "guard", "output")
 
     return parser
+
+
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call of this process shares; parsing keeps
+    no state in it, and building it takes longer than most commands."""
+    return build_parser()
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -269,7 +277,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         guard = args.guard if args.guard is not None else _env_guard()
         return _COMMANDS[args.command](args, guard)

@@ -31,6 +31,7 @@ from .orbits import (
     Permutation,
     Witnessed,
     apply_action,
+    _min_sq_many,
     check_order_guard,
     min_sq_over_group,
 )
@@ -184,11 +185,16 @@ def sample_mean(
     after max_iter rounds.  This is a local method: the trace converges but
     the limit need not be a global minimizer on symmetric configurations.
     Every (mean, graph) pair is scanned once: the scan that scores a
-    candidate mean also aligns the graphs to it for the next round.  The
-    start selection scans every ordered pair of distinct inputs.
+    candidate mean also aligns the graphs to it for the next round.  A
+    round is one pass of the candidate against all K graphs, and the start
+    selection one pass of each input against the K - 1 others (passes of
+    many partners: ``orbits._inner_scan``).  ``max_iter`` must be at least
+    0; with 0 the start graph is returned.
     """
     if not graphs:
         raise ValueError("sample_mean requires at least one graph")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
     directed = graphs[0].directed
     dim = graphs[0].dim
     for g in graphs:
@@ -197,12 +203,16 @@ def sample_mean(
     n = padded_order(graphs, "bound", order)
     check_order_guard(n, guard)
     mats = [to_matrix(g, n) for g in graphs]
+    cells = np.stack([m.cells for m in mats])
 
     # A graph is at squared distance exactly 0.0 from itself, first reached
     # at the identity: the diagonal needs no scan.
     same = Witnessed(0.0, Permutation.identity(n))
-    fits = [[same if i == j else min_sq_over_group(a.cells, b.cells)
-             for j, b in enumerate(mats)] for i, a in enumerate(mats)]
+    fits = []
+    for i in range(len(mats)):
+        row = _min_sq_many(cells[i], np.delete(cells, i, axis=0))
+        row.insert(i, same)
+        fits.append(row)
     frechet = [sum(f.value for f in row) for row in fits]
     start = int(np.argmin(frechet))
     cur, fit = mats[start].cells, fits[start]
@@ -210,7 +220,7 @@ def sample_mean(
     converged = False
     for _ in range(max_iter):
         new = np.mean([apply_action(f.witness, m).cells for f, m in zip(fit, mats)], axis=0)
-        new_fit = [min_sq_over_group(new, m.cells) for m in mats]
+        new_fit = _min_sq_many(new, cells)
         value = sum(f.value for f in new_fit)
         # accept only strict improvements: the trace stays non-increasing and
         # rounding noise in the average cannot displace an exact fixed point

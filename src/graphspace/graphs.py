@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -74,6 +75,14 @@ def _as_attr(value, dim: int, what: str) -> tuple[float, ...]:
             f"{what}: attribute has dimension {len(attr)}, expected {dim}"
         )
     return tuple(attr)
+
+
+@lru_cache(maxsize=4096)
+def _edge_key(i: int, j: int) -> tuple[int, int]:
+    """The key (i, j) of an edge, one tuple shared by every graph with an
+    edge from node i to node j (up to 4096 pairs, every pair at order 64),
+    so that graphs kept together hold their edge keys once."""
+    return (i, j)
 
 
 def _is_zero(attr: tuple[float, ...]) -> bool:
@@ -119,7 +128,8 @@ class AttributedGraph:
             attr = _as_attr(raw, dim, f"edge ({i},{j})")
             if _is_zero(attr):
                 raise GraphFormatError(f"zero edge attribute on ({i},{j})")
-            for key in ((i, j), (j, i)) if not self.directed else ((i, j),):
+            keys = (_edge_key(i, j), _edge_key(j, i)) if not self.directed else (_edge_key(i, j),)
+            for key in keys:
                 if key in edges:
                     if edges[key] != attr:
                         raise GraphFormatError(

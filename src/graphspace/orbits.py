@@ -17,8 +17,8 @@ target cell of y, an (n, n, n*n) cell-pair table with
 table[a, b, i*n + j] = s(x[a, b], y[i, j]), and totals each permutation from
 that table instead of gathering its n*n*d attribute cells.  ``optimum``
 keeps the best total; ``max_inner_over_group`` and ``min_sq_over_group``
-rank by the table of inner products, and decide through ``optimum`` when its
-totals are exact and in the reference forms otherwise.
+rank by the table of inner products, and keep the first best total when
+its totals are exact and decide in the reference forms otherwise.
 Orbits, isotropy groups, kernels, metrics, alignments and means are all
 scans of this engine.
 
@@ -38,6 +38,13 @@ The scan is memory-bounded and never materialises the whole group:
   totals go block by block, within the chunk).  Block rows ``sigma[base]``
   are built only for the rows that a re-score, ``orbit``, ``isotropy_group``
   or a witness needs.
+* Partners.  One x scanned against many partners (the rounds and the start
+  of ``geometry.sample_mean``) stacks the partners' tables, and one walk of
+  the group totals them all: each (partner, block) pair is a column of the
+  chunk's totals, and a walk takes as many partners as fill _CHUNK columns
+  (24 at n <= 7, 3 at n = 8, 1 at n = 9).  Each partner keeps its own
+  certificate, ranking dtype, eps, shortlist and witness (``_inner_scan``),
+  so its value and witness are those of a scan of its pair alone.
 * Classes as table entries.  A class that allows position k the images
   v with allowed[k, v] (the compact maps of ``kernels``) is written into
   the table, as forbidden assignments are in a Lawler cost matrix: each
@@ -58,22 +65,27 @@ The scan is memory-bounded and never materialises the whole group:
   the prefix lengths 4, 5 and 7, so a block reads 840 * 10 + 2520 * 5 +
   5040 * 13 = 86,520 entries instead of 5040 * 28 = 141,120; below, one
   level reads every cell of every row.  The offsets depend neither on n
-  beyond m nor on the attribute dimension d.  A one-block chunk (every scan
-  at n <= 7) reads each level in one index; a chunk of several lays its
-  folded entries out as an (m*m*m(m+1)/2, blocks) matrix, and one row of
-  offsets reads that entry for every node of every block at once.
-* Memory.  A scan holds its table, n**4 * 8 bytes (52 KB at n = 9), and
-  its penalised copy, per chunk its relabelled tables (1.3 MB at n = 9)
-  and at most _RESCORE re-scored rows.  A chunk of several blocks totals
-  into buffers of its thread, which every later chunk and scan on that
-  thread reuses (``_reused``), so the totals allocate nothing once the
-  thread has totalled a chunk as large: the entries by offset, two levels
-  of node totals and the entries read (which then hold the totals in lex
-  order), (1372 + 5040 + 2520 + 5040) * 24 * 8 bytes, 2.6 MiB.  A float64
-  scan at n = 9 peaks at 4.6 MiB with them, about 5 MB at any order.
-  Totals are taken in the table's dtype, and reading the entries is most
-  of a scan's time, bound by memory traffic, so a float32 table halves
-  the relabelled tables and the totals, and the bytes a scan reads.
+  beyond m nor on the attribute dimension d.  A chunk of one column (a
+  single scan at n <= 7) reads each level in one index; one of several
+  lays its folded entries out as an (m*m*m(m+1)/2, columns) matrix, one
+  column per (partner, block), and one row of offsets reads that entry
+  for every node of every column at once.
+* Memory.  A scan holds its tables, n**4 * 8 bytes per partner (52 KB at
+  n = 9), and their penalised copy, per chunk the relabelled tables of its
+  columns (1.3 MB for 24 at n = 9) and at most _RESCORE re-scored rows.  A
+  chunk of several columns totals into buffers of its thread, which every
+  later chunk and scan on that thread reuses (``_reused``), so the totals
+  allocate nothing once the thread has totalled a chunk as large: the
+  entries by offset, two levels of node totals and the entries read
+  (which then hold the totals in lex order), at most (1372 + 5040 + 2520
+  + 5040) * 24 * 8 bytes, 2.6 MiB, since no chunk has more than _CHUNK
+  columns.  A float64 scan at n = 9 peaks at 4.6 MiB with them, about
+  5 MB at any order.  Totals are taken in the table's dtype; a float32
+  table halves the relabelled tables and the totals.  Reading the entries
+  is most of a scan's time, and its pace is set by the number of
+  per-index copies, not by bytes: int16 and int32 totals of an integer
+  table were no faster than float32 ones, so wider columns (more of them
+  per chunk) are what makes a read cheaper per entry.
 * Exact totals.  Scores with integer values per cell (the delta kernel and
   cost, the uniform cost, the cell-equality count behind ``isotropy_group``)
   are 0, 1 or 2, so a total is at most 2 n*n (162 at n = 9) and every
@@ -87,9 +99,9 @@ The scan is memory-bounded and never materialises the whole group:
 * Inner products.  When x and y hold integers with
   N (max|x| + max|y|)^2 < 2^53 (N = n*n*d), every sum over their cells is
   exact and the table inner products are the reference values, so the scan
-  is an ``optimum`` of that table, and the metric ||x||^2 + ||y||^2 - 2
-  times its value; below 2^24 the sums are exact in float32 too, and the
-  table is cast to it.  Otherwise they only rank: rows within a
+  keeps that table's first best total, as ``optimum`` does, and the metric
+  is ||x||^2 + ||y||^2 - 2 times its value; below 2^24 the sums are exact
+  in float32 too, and the table is cast to it.  Otherwise they only rank: rows within a
   forward-error bound of a chunk's best are re-scored in the reference form
   (derivation in ``min_sq_over_group``), so values and witnesses are those
   of a reference scan of every row.  Inside the window
@@ -308,14 +320,11 @@ def iter_permutation_blocks(n: int) -> Iterator[np.ndarray]:
     followed by the remaining nodes in increasing order, so its first row
     is sigmas[b].
     """
-    k = max(0, n - _FREE)
-    prefixes = itertools.permutations(range(n), k)
+    prefixes = itertools.permutations(range(n), max(0, n - _FREE))
+    nodes = set(range(n))
     while chunk := list(itertools.islice(prefixes, _CHUNK)):
-        c = len(chunk)
-        head = np.array(chunk, dtype=np.intp).reshape(c, k)
-        rest = np.ones((c, n), dtype=bool)
-        rest[np.arange(c)[:, None], head] = False
-        yield np.concatenate([head, np.nonzero(rest)[1].reshape(c, n - k)], axis=1)
+        rows = [p + tuple(sorted(nodes.difference(p))) for p in chunk]
+        yield np.array(rows, dtype=np.intp).reshape(len(rows), n)
 
 
 def _partial_permutations(n: int, k: int) -> Iterator[np.ndarray]:
@@ -401,51 +410,61 @@ class _Chunk(NamedTuple):
         return self.sigmas[b[:, None], base[r]]
 
     def permutation(self, i: int) -> Permutation:
-        return _permutation(self.perms(np.array([i]))[0])
+        """The permutation of row i, as ``perms`` gives it."""
+        base = _base(self.sigmas.shape[1])
+        b, r = divmod(i + self.start, len(base))
+        return _permutation(self.sigmas[b, base[r]])
 
     def totals(self, table: np.ndarray, in_order: bool = False) -> np.ndarray:
         """Per row p scored, sum over cells k = (i, j) of table[p_i, p_j, k],
         in the table's dtype, or in float32 for a boolean or integer table
         of scores (exact: see "Exact totals" in the module docstring).
 
-        By default the table is relabelled by every block at once and folded
-        (``_fold``), and a row's total is its block's constant plus its
-        m(m+1)/2 pair entries, added level by level over the lex prefix tree
-        (``_tree``): the fold and the tree regroup the cell scores, which is
-        exact for integer-valued tables and within the shortlist bound of
-        ``min_sq_over_group`` for any other.  With several blocks, the
-        result is a view of a buffer of this thread, valid until the next
-        ``totals`` call on it; read it (or copy it) at once.  ``in_order``
-        reads each row's n*n entries and adds them one at a time, left to
-        right in cell order, the one order that defines a total of
-        arbitrary floats here.
+        ``table`` is one (n, n, n*n) cell-pair table, or a (P, n, n, n*n)
+        stack of the tables of P partners, totalled together; the result is
+        (count,) or (P, count).  By default each table is relabelled by
+        every block at once and folded (``_fold``), and a row's total is its
+        block's constant plus its m(m+1)/2 pair entries, added level by
+        level over the lex prefix tree (``_tree``): the fold and the tree
+        regroup the cell scores, which is exact for integer-valued tables
+        and within the shortlist bound of ``min_sq_over_group`` for any
+        other.  With several (partner, block) columns, the result is a view
+        of a buffer of this thread, valid until the next ``totals`` call on
+        it; read it (or copy it) at once.  ``in_order`` reads each row's n*n
+        entries and adds them one at a time, left to right in cell order,
+        the one order that defines a total of arbitrary floats here.
         """
         if table.dtype.kind in "biu":
             table = table.astype(np.float32)
         sig = self.sigmas
         n = sig.shape[1]
+        lead = table.shape[:-3]
+        tables = table.reshape(math.prod(lead), n, n, n * n)
         if in_order:
             cell = np.arange(n * n).reshape(n, n)
-            total = np.zeros((len(sig), len(_base(n))), dtype=table.dtype)
-            for t, sigma in zip(total, sig):
+            total = np.zeros((len(tables), len(sig), len(_base(n))), dtype=table.dtype)
+            for b, sigma in enumerate(sig):
                 p = sigma[_base(n)]
-                entries = table[p[:, :, None], p[:, None, :], cell].reshape(len(p), n * n)
+                entries = tables[:, p[:, :, None], p[:, None, :], cell].reshape(len(tables), len(p), -1)
                 for k in range(n * n):
-                    t += entries[:, k]
-            return total.reshape(-1)[self.start :]
-        const, pairs = _fold(table[sig[:, :, None], sig[:, None, :]])
+                    total[:, b] += entries[:, :, k]
+            return total.reshape(lead + (-1,))[..., self.start :]
+        # every table relabelled by every sigma: (partners, blocks, n, n, n*n)
+        cells = sig[:, :, None] * n + sig[:, None, :]
+        rel = np.take(tables.reshape(len(tables), n * n, n * n), cells, axis=1)
+        const, pairs = _fold(rel.reshape(len(tables) * len(sig), n, n, n * n))
         tree = _tree(min(n, _FREE))
-        if len(sig) == 1:
+        if len(pairs) == 1:
             flat, total = pairs.reshape(-1), const
             for level in tree:
                 sums = flat[level].sum(axis=0).reshape(len(total), -1)
                 total = (sums + total[:, None]).reshape(-1)
-            return total[self.start :]
-        c, dtype = len(sig), pairs.dtype
-        # one row of entries per pair offset, one column per block
+            return total.reshape(lead + (-1,))[..., self.start :]
+        c, dtype = len(pairs), pairs.dtype
+        # one row of entries per pair offset, one column per (partner, block)
         by_offset = _reused("offsets", pairs.shape[1], c, dtype)
         np.copyto(by_offset, pairs.T)
-        total = const[None, :]  # the root's: one node, one column per block
+        total = const[None, :]  # the root's: one node, one column per copy
         for t, level in enumerate(tree):
             # levels alternate between two buffers: the parents' stay intact
             node = _reused(f"level{t % 2}", level.shape[1], c, dtype)
@@ -457,8 +476,8 @@ class _Chunk(NamedTuple):
             children += total[:, None, :]
             total = node
         out = _reused("entries", c, len(total), dtype)
-        np.copyto(out, total.T)  # lex order, in the spare buffer
-        return out.reshape(-1)[self.start :]
+        np.copyto(out, total.T)  # lex order per partner, in the spare buffer
+        return out.reshape(lead + (-1,))[..., self.start :]
 
     def gather(self, cells: np.ndarray, which: np.ndarray) -> np.ndarray:
         """``gather(cells, self.perms(which))``.
@@ -487,12 +506,13 @@ def _penalised(table: np.ndarray, allowed: np.ndarray | None, worst: float) -> n
     p with some not allowed[k, p_k] totals ``worst`` (an infinity): the total
     adds the entry table[p_k, p_k, k*n + k], and the table holds no opposite
     infinity (``kernels._cost_table`` rejects a cost of -inf).  The table
-    itself when ``allowed`` is None."""
+    itself when ``allowed`` is None.  A (P, n, n, n*n) stack of tables is
+    penalised table by table."""
     if allowed is None:
         return table
     table = table.astype(np.float32 if table.dtype.kind in "biu" else table.dtype)
     k, v = np.nonzero(~allowed)
-    table[v, v, k * (len(allowed) + 1)] = worst  # cell (k, k) of y
+    table[..., v, v, k * (len(allowed) + 1)] = worst  # cell (k, k) of y, in every table
     return table
 
 
@@ -513,7 +533,7 @@ def orbit(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> Orbit:
 
 
 def _permutation(row: np.ndarray) -> Permutation:
-    return Permutation(tuple(int(v) for v in row))
+    return Permutation(tuple(row.tolist()))
 
 
 def _equal_table(x: GraphMatrix) -> np.ndarray:
@@ -586,83 +606,156 @@ def _integral(x: np.ndarray, y: np.ndarray) -> int | None:
     2^53, else None.  Below 2^b, every sum of products or squared
     differences of their cells, in any order, is exact in a float format
     with a b-bit significand (53 in float64, 24 in float32)."""
-    s = float(np.abs(x).max(initial=0.0) + np.abs(y).max(initial=0.0))
-    if not s < 2.0**27:  # bounds s before squaring; false for inf and nan
-        return None
-    if not (np.array_equal(x, np.trunc(x)) and np.array_equal(y, np.trunc(y))):
-        return None
-    bound = x.size * int(s) ** 2
-    return bound if bound < 2**53 else None
+    return _integral_many(x, y[None])[0]
 
 
-def _near_best(ip: np.ndarray, eps: float) -> np.ndarray:
-    top = ip.max()  # -inf: every row is outside the class
-    return np.flatnonzero(ip >= top - eps) if top > -math.inf else np.empty(0, np.intp)
+def _integral_many(x: np.ndarray, ys: np.ndarray) -> list[int | None]:
+    """``_integral`` of x and each partner ys[q] of a (P, n, n, d) stack."""
+    if not np.array_equal(x, np.trunc(x)):
+        return [None] * len(ys)
+    top = np.abs(x).max(initial=0.0)
+    out = []
+    for y in ys:
+        s = float(top + np.abs(y).max(initial=0.0))
+        # s < 2^27 bounds s before squaring; false for inf and nan
+        whole = s < 2.0**27 and np.array_equal(y, np.trunc(y))
+        bound = x.size * int(s) ** 2 if whole else 2**53
+        out.append(bound if bound < 2**53 else None)
+    return out
+
+
+def _near_best(ip: np.ndarray, eps: np.ndarray) -> list[np.ndarray]:
+    """Per row of a (P, rows) array of totals, the rows at or above the
+    threshold fl(fl(max) - fl(eps)) of the row's eps, all in ip's dtype;
+    none where the max is -inf (every row is outside the class)."""
+    top = ip.max(axis=1)
+    keep = ip >= (top - eps)[:, None]
+    return [np.flatnonzero(k) if t > -math.inf else np.empty(0, np.intp)
+            for k, t in zip(keep, top.tolist())]
+
+
+def _dot_form(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("mijc,ijc->m", g, y)
+
+
+def _diff_form(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    diff = g - y
+    return np.einsum("mijc,mijc->m", diff, diff)
+
+
+def _pass(
+    x: np.ndarray,
+    ys: list[np.ndarray],
+    tables: np.ndarray,
+    eps: list[float | None],
+    skip_identity: bool,
+    metric: bool,
+) -> list[tuple[float, Permutation | None]]:
+    """One walk of the group scoring x against a batch of partners ys,
+    whose (P, n, n, n*n) tables share a dtype: (best, witness) per partner.
+
+    A partner with eps None has exact totals, and its best is its first
+    largest total, as in ``optimum``.  Any other partner re-scores the rows
+    its totals rank within its eps of each chunk's best (``_near_best``),
+    _RESCORE rows at a time, in the diff form if metric and the dot form
+    otherwise, and keeps the first best of those.
+    """
+    exact = [q for q, e in enumerate(eps) if e is None]
+    ranked = [q for q, e in enumerate(eps) if e is not None]
+    margin = np.array([eps[q] for q in ranked], dtype=tables.dtype)  # fl(eps)
+    form, pick = (_diff_form, np.argmin) if metric else (_dot_form, np.argmax)
+    best = [-math.inf if e is None else (math.inf if metric else -math.inf) for e in eps]
+    witness: list[Permutation | None] = [None] * len(eps)
+    for chunk in _chunks(x.shape[0], skip_identity):
+        vals = chunk.totals(tables)  # a view of this thread's buffers
+        if exact:
+            ex = vals[exact] if ranked else vals
+            for q, top, i in zip(exact, ex, ex.argmax(axis=1).tolist()):
+                v = float(top[i])
+                if witness[q] is None or v > best[q]:
+                    best[q], witness[q] = v, chunk.permutation(i)
+        # read before anything else totals: the shortlists are copies
+        shorts = _near_best(vals[ranked] if exact else vals, margin) if ranked else []
+        for q, short in zip(ranked, shorts):
+            for start in range(0, len(short), _RESCORE):
+                part = short[start : start + _RESCORE]
+                scores = form(chunk.gather(x, part), ys[q])
+                i = int(pick(scores))
+                v = float(scores[i])
+                if witness[q] is None or (v < best[q] if metric else v > best[q]):
+                    best[q], witness[q] = v, chunk.permutation(int(part[i]))
+    return list(zip(best, witness))
 
 
 def _inner_scan(
     x: np.ndarray,
-    y: np.ndarray,
+    ys: np.ndarray,
     allowed: np.ndarray | None,
     skip_identity: bool,
     metric: bool,
-) -> Witnessed:
-    """``min_sq_over_group`` if metric, else ``max_inner_over_group``.
+) -> list[Witnessed]:
+    """``min_sq_over_group`` if metric, else ``max_inner_over_group``, of x
+    against each partner ys[q] of a (P, n, n, d) stack, one result each.
 
-    Under ``_integral`` the table inner products <g, y> are exact (in
-    float32 below 2^24) and ``optimum`` decides; ||x||^2 + ||y||^2 -
+    Every partner decides as a scan of its own pair would.  Under
+    ``_integral`` its table inner products <g, y> are exact (in float32
+    below 2^24) and its first best total decides; ||x||^2 + ||y||^2 -
     2<g, y> is then exact too and strictly decreasing in <g, y>.
-    Otherwise one loop re-scores each chunk's shortlist in the reference
-    form, ranked by float32 totals inside the window and by float64
-    totals outside it (``min_sq_over_group``).  Rows outside ``allowed``
-    rank at -inf, so a chunk whose best is -inf is skipped.  When 4 R^2
+    Otherwise it re-scores each chunk's shortlist in the reference form,
+    ranked by float32 totals inside the window and by float64 totals
+    outside it (``min_sq_over_group``).  Rows outside ``allowed`` rank at
+    -inf, so a chunk whose best is -inf has no shortlist.  When 4 R^2
     overflows, no sum ranks the rows: every row of the class totals 0 and
-    is re-scored.
+    is re-scored.  Partners whose tables share a dtype are totalled
+    together (``_pass``), as many per walk of the group as fill _CHUNK
+    (partner, block) columns: 24 partners at n <= 7, 3 at n = 8, 1 at 9.
     """
-    xx, yy = np.einsum("ijc,ijc->", x, x), np.einsum("ijc,ijc->", y, y)
-    r = math.sqrt(xx) + math.sqrt(yy)
-    ranked = math.isfinite(4.0 * r * r)  # always under _integral
     n, d = x.shape[0], x.shape[2]
-    if ranked:
-        pairs = np.einsum("ac,kc->ak", x.reshape(n * n, d), y.reshape(n * n, d))
-        table = pairs.reshape(n, n, n * n)
-    else:
-        table = np.zeros((n, n, n * n), dtype=np.float32)
-    table = _penalised(table, allowed, -math.inf)
-    bound = _integral(x, y)
-    if bound is not None:
-        if bound < 2**24:
-            table = table.astype(np.float32)
-        best, witness = optimum(table, maximize=True, skip_identity=skip_identity)
-        return Witnessed(float(xx + yy) - 2.0 * best if metric else best, witness)
-    terms = y.size + 3
-    if not ranked:
-        eps = 0.0
-    elif terms < 2**20 and 2.0**-100 < r * r < 2.0**100:
-        table = table.astype(np.float32)
-        eps = 4.0 * terms * 2.0**-24 * r * r + terms * 2.0**-149
-    else:
-        eps = 4.0 * terms * 2.0**-53 * r * r + terms * 2.0**-1070
-    if metric:
-        def form(g: np.ndarray) -> np.ndarray:
-            diff = g - y
-            return np.einsum("mijc,mijc->m", diff, diff)
-    else:
-        def form(g: np.ndarray) -> np.ndarray:
-            return np.einsum("mijc,ijc->m", g, y)
+    xx = float(np.einsum("ijc,ijc->", x, x))
+    yy = np.einsum("qijc,qijc->q", ys, ys).tolist()
+    terms = x.size + 3
+    plans = []  # (table dtype, eps or None for exact totals) per partner
+    for q, bound in enumerate(_integral_many(x, ys)):
+        r = math.sqrt(xx) + math.sqrt(yy[q])
+        if bound is not None:  # 4 R^2 is finite
+            plans.append((np.float32 if bound < 2**24 else np.float64, None))
+        elif not math.isfinite(4.0 * r * r):
+            plans.append((np.float32, 0.0))
+        elif terms < 2**20 and 2.0**-100 < r * r < 2.0**100:
+            plans.append((np.float32, 4.0 * terms * 2.0**-24 * r * r + terms * 2.0**-149))
+        else:
+            plans.append((np.float64, 4.0 * terms * 2.0**-53 * r * r + terms * 2.0**-1070))
+    # The inner products of the ranked partners, as a matrix product: its
+    # sums are within the bounds of min_sq_over_group (exact under
+    # _integral), and finite, |<g, y>| <= R^2 / 4.  An unranked partner's
+    # table is 0.
+    live = [q for q, (_, eps) in enumerate(plans) if eps != 0.0]
+    table = x.reshape(n * n, d) @ ys[live].reshape(len(live), n * n, d).transpose(0, 2, 1)
+    if len(live) < len(ys):
+        table, ranked = np.zeros((len(ys), n * n, n * n)), table
+        table[live] = ranked
+    table = _penalised(table.reshape(len(ys), n, n, n * n), allowed, -math.inf)
+    blocks = min(_CHUNK, math.factorial(n) // math.factorial(min(n, _FREE)))
+    per_pass = max(1, _CHUNK // blocks)
+    out = [None] * len(ys)  # each partner's result, filled pass by pass
+    for dtype in (np.float32, np.float64):
+        members = [q for q, (kind, _) in enumerate(plans) if kind is dtype]
+        for start in range(0, len(members), per_pass):
+            batch = members[start : start + per_pass]
+            tables = table if len(batch) == len(ys) else table[batch]
+            found = _pass(x, [ys[q] for q in batch], tables.astype(dtype, copy=False),
+                          [plans[q][1] for q in batch], skip_identity, metric)
+            for q, (best, witness) in zip(batch, found):
+                if metric and plans[q][1] is None:
+                    best = xx + yy[q] - 2.0 * best
+                out[q] = Witnessed(best, witness)
+    return out
 
-    pick = np.argmin if metric else np.argmax
-    best, witness = (math.inf if metric else -math.inf), None
-    for chunk in _chunks(n, skip_identity):
-        # no name keeps the totals alive while the chunk is re-scored
-        short = _near_best(chunk.totals(table), eps)
-        for start in range(0, len(short), _RESCORE):
-            part = short[start : start + _RESCORE]
-            vals = form(chunk.gather(x, part))
-            i = int(pick(vals))
-            if witness is None or (vals[i] < best if metric else vals[i] > best):
-                best, witness = float(vals[i]), chunk.permutation(int(part[i]))
-    return Witnessed(best, witness)
+
+def _min_sq_many(x: np.ndarray, ys) -> list[Witnessed]:
+    """``[min_sq_over_group(x, y) for y in ys]``, in passes that total x
+    against many partners at once (``_inner_scan``)."""
+    return _inner_scan(x, np.asarray(ys), None, False, metric=True)
 
 
 def max_inner_over_group(
@@ -681,7 +774,7 @@ def max_inner_over_group(
     _RESCORE rows at a time.  With an empty class the value is -inf and the
     witness None.
     """
-    return _inner_scan(x, y, allowed, skip_identity, metric=False)
+    return _inner_scan(x, y[None], allowed, skip_identity, metric=False)[0]
 
 
 def min_sq_over_group(
@@ -765,7 +858,7 @@ def min_sq_over_group(
     the rounding term, so float32 shortlists stay as short as float64's;
     outside the window the table stays float64.
     """
-    return _inner_scan(x, y, allowed, skip_identity, metric=True)
+    return _inner_scan(x, y[None], allowed, skip_identity, metric=True)[0]
 
 
 def quotient_distance(

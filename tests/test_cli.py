@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from graphspace import AttributedGraph, length, serialize_graph
+from graphspace import AttributedGraph, cli, length, serialize_graph
 from graphspace.sampling import random_graph
 from graphspace.suites import run_suite
 
@@ -140,6 +140,54 @@ def test_mean_command(graph_files):
     assert payload["frechet_value"] == 0.0
     assert payload["mean"]["nodes"] == [[1.0], [2.0]]
     assert payload["trace"] == [0.0]
+
+
+def test_mean_rejects_a_negative_max_iter(graph_files):
+    _, write = graph_files
+    x = write("x.json", '{"directed":false,"attr_dim":1,"nodes":[[1.0],[2.0]],"edges":[]}')
+    y = write("y.json", '{"directed":false,"attr_dim":1,"nodes":[[3.0]],"edges":[]}')
+    res = run_cli("mean", x, y, "--max-iter", "-1")
+    assert res.returncode == 1 and "max_iter" in res.stderr and res.stdout == ""
+    res = run_cli("mean", x, y, "--max-iter", "0")
+    assert res.returncode == 0 and json.loads(res.stdout)["trace"]
+
+
+def test_main_reuses_one_parser_with_the_output_of_fresh_ones(graph_files, capsys):
+    # main builds its parser once per process; a run of subcommands, with a
+    # usage error between them, prints and returns what fresh parsers give.
+    tmp, write = graph_files
+    a = write("a.json", '{"directed":false,"attr_dim":1,"nodes":[[3.0]],"edges":[]}')
+    b = write("b.json", '{"directed":false,"attr_dim":1,"nodes":[[5.0],[1.0]],"edges":[]}')
+    runs = [
+        ["dist", a, b, "--witness"],
+        ["kernel", a, b],
+        ["dist", a, b, "--bogus"],
+        ["mean", a, b, "--max-iter", "2"],
+        ["gram", a, b, "--kind", "kernel"],
+        ["check", "--suite", "mcs", "--trials", "5"],
+        ["align", b, a],
+        ["dist", a, b],
+    ]
+
+    def outputs(fresh):
+        got = []
+        for argv in runs:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # usage errors exit from the parser
+                code = exc.code
+            out = capsys.readouterr()
+            got.append((code, out.out, out.err))
+        return got
+
+    cli._parser.cache_clear()
+    shared = outputs(fresh=False)
+    assert cli._parser.cache_info().misses == 1
+    assert shared == outputs(fresh=True)
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0, 0, 1, 0, 0]
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_gram_rejects_mixed_dimensions(graph_files):

@@ -149,3 +149,15 @@ def test_sample_mean_is_deterministic():
     a = sample_mean(graphs)
     b = sample_mean(graphs)
     assert a.mean == b.mean and a.trace == b.trace
+
+
+def test_sample_mean_rejects_a_negative_max_iter():
+    rng = np.random.default_rng(12)
+    graphs = [random_graph(rng, 3, 1) for _ in range(3)]
+    for bad in (-1, -3):
+        with pytest.raises(ValueError, match="max_iter"):
+            sample_mean(graphs, max_iter=bad)
+    # no round: the start graph, the input nearest to all others
+    res = sample_mean(graphs, max_iter=0)
+    assert len(res.trace) == 1 and not res.converged
+    assert res.mean in graphs

@@ -195,3 +195,14 @@ def test_serialized_form_is_stable():
     doc = json.loads(serialize_graph(g))
     assert list(doc) == ["directed", "attr_dim", "nodes", "edges"]
     assert serialize_graph(g) == serialize_graph(parse_graph(serialize_graph(g)))
+
+
+def test_graphs_share_their_edge_keys():
+    # Graphs kept together (a collection, a benchmark's results) hold one
+    # key tuple per ordered node pair, not one per graph.
+    rng = np.random.default_rng(8)
+    graphs = [random_graph(rng, 6, 1, edge_prob=1.0) for _ in range(3)]
+    graphs.append(from_matrix(to_matrix(graphs[0]), directed=False))
+    keys = [{k: k for k in g._edges} for g in graphs]
+    assert keys[0].keys() == keys[1].keys() == keys[3].keys()
+    assert all(keys[0][k] is other[k] for other in keys[1:] for k in keys[0])

@@ -913,3 +913,153 @@ def test_memory_stays_bounded_beyond_the_default_guard():
     res, peak = _traced_peak(lambda: quotient_distance(to_matrix(x), to_matrix(y), guard=10))
     assert res.value == 0.0
     assert peak < 16 * 2**20
+
+
+# ------------------------------------------- one x against many partners
+
+
+def _partners(rng, x, n, d):
+    """Partners of x that take every path of a scan: small integers (exact
+    in float32) and integers above 2^24 (exact in float64) when x holds
+    integers, Gaussians ranked in float32, scaled by 1e60 (ranked in
+    float64) and by 1e160 (4 R^2 overflows: no ranking), a relabelled copy
+    of x (an exact zero), the unit star (ties) and a graph padded with
+    null nodes.  Orders 8 and 9 take one unranked partner, whose scan
+    re-scores every row."""
+    big = math.isqrt(2**30 // (n * n * d))  # N (max|x| + big)^2 over 2^24
+    p = rng.permutation(n)
+    star = to_matrix(unit_star(n)).cells if n >= 3 else np.ones((n, n, 1))
+    padded = np.zeros((n, n, d))
+    padded[: n // 2, : n // 2] = rng.normal(size=(n // 2, n // 2, d))
+    ys = [
+        rng.integers(-1, 3, size=(n, n, d)).astype(float),
+        rng.integers(-big, big + 1, size=(n, n, d)).astype(float),
+        rng.normal(size=(n, n, d)),
+        1e60 * rng.normal(size=(n, n, d)),
+        x[np.ix_(p, p)].copy(),
+        np.repeat(star[:, :, :1], d, axis=2),
+        padded,
+    ]
+    if n <= 7 or x.max() < 1e100:
+        ys.append(1e160 * rng.normal(size=(n, n, d)))
+    return ys
+
+
+def _xs(rng, n, d):
+    """Integer, Gaussian, 0.1-scaled unit-star and 1e160-scaled cells."""
+    star = to_matrix(unit_star(n)).cells if n >= 3 else np.ones((n, n, 1))
+    return {
+        "int": rng.integers(-1, 3, size=(n, n, d)).astype(float),
+        "gauss": rng.normal(size=(n, n, d)),
+        "tenth-star": 0.1 * np.repeat(star[:, :, :1], d, axis=2),
+        "huge": 1e160 * rng.normal(size=(n, n, d)),
+    }
+
+
+def _many_bits(results):
+    return [_bits(r.value, r.witness.images) for r in results]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_many_partner_scans_equal_single_scans(n):
+    # Each partner of one batch decides as its own scan would: the same
+    # value (as hex) and the same lex-first witness, whichever path it takes.
+    rng = np.random.default_rng(500 + n)
+    d = 1 if n >= 8 else 1 + n % 3
+    for name, x in _xs(rng, n, d).items():
+        if n >= 8 and name in ("tenth-star", "huge"):
+            continue  # these re-score every row of every partner
+        ys = _partners(rng, x, n, d)
+        single = [orbits.min_sq_over_group(x, y) for y in ys]
+        assert _many_bits(orbits._min_sq_many(x, ys)) == _many_bits(single), name
+        assert _many_bits(orbits._min_sq_many(x, ys[2:3])) == _many_bits(single[2:3]), name
+
+
+def test_many_partner_paths_are_the_single_scans_paths():
+    # The batch of an integer x holds every kind of partner: exact float32
+    # and float64 totals, float32 and float64 rankings, and no ranking.
+    rng = np.random.default_rng(17)
+    x = rng.integers(-1, 3, size=(5, 5, 2)).astype(float)
+    ys = _partners(rng, x, 5, 2)
+    bounds = [orbits._integral(x, y) for y in ys]
+    assert bounds[0] < 2**24 <= bounds[1] < 2**53
+    assert bounds[2:4] == [None, None] and bounds[-1] is None
+    assert orbits._integral_many(x, np.stack(ys)) == bounds
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_twenty_five_partners_take_two_passes(n, monkeypatch):
+    # At n <= 7 a pass totals up to 24 (partner, block) columns, one block
+    # each; a 25th partner of the same table dtype takes a second pass.
+    walks = []
+    real = orbits.iter_permutation_blocks
+
+    def counting(m):
+        walks.append(m)
+        return real(m)
+
+    monkeypatch.setattr(orbits, "iter_permutation_blocks", counting)
+    rng = np.random.default_rng(40 + n)
+    x = rng.normal(size=(n, n, 2))
+    ys = [rng.normal(size=(n, n, 2)) for _ in range(23)]
+    ys += [x[::-1, ::-1].copy(), 0.5 * x]
+    many = orbits._min_sq_many(x, ys)
+    assert walks == [n, n]
+    assert _many_bits(many) == _many_bits([orbits.min_sq_over_group(x, y) for y in ys])
+
+
+@pytest.mark.parametrize("n, partners, walks", [(6, 8, 1), (7, 8, 1), (8, 8, 3), (9, 2, 2)])
+def test_a_pass_totals_up_to_twenty_four_columns(n, partners, walks, monkeypatch):
+    # 24 partners a pass at n <= 7, 3 at n = 8 (8 blocks each), 1 at n = 9.
+    counted = []
+    real = orbits.iter_permutation_blocks
+    monkeypatch.setattr(orbits, "iter_permutation_blocks", lambda m: counted.append(m) or real(m))
+    rng = np.random.default_rng(60 + n)
+    x = rng.normal(size=(n, n, 1))
+    orbits._min_sq_many(x, rng.normal(size=(partners, n, n, 1)))
+    assert len(counted) == walks
+
+
+@pytest.mark.parametrize("n", [5, 7, 8])
+def test_stacked_totals_equal_each_tables_totals(n):
+    # A stack of tables totals as its tables one by one: the (partner,
+    # block) columns do not mix.
+    rng = np.random.default_rng(80 + n)
+    tables = rng.normal(size=(3, n, n, n * n)).astype(np.float32)
+    for chunk in orbits._chunks(n, skip_identity=True):
+        each = [chunk.totals(t).copy() for t in tables]
+        stacked = chunk.totals(tables)
+        assert stacked.shape == (3, chunk.count)
+        assert all(np.array_equal(s, e) for s, e in zip(stacked, each))
+
+
+def test_concurrent_many_partner_scans_equal_serial_scans():
+    # Two threads run batched scans at once (n = 7: 8 columns; n = 8: 24
+    # columns, three partners of 8 blocks); their totals share no buffer.
+    rng = np.random.default_rng(91)
+    jobs = []
+    for n, k in ((7, 8), (8, 3)):
+        x = rng.normal(size=(n, n, 1))
+        ys = rng.normal(size=(k, n, n, 1))
+        jobs.append(lambda x=x, ys=ys: _many_bits(orbits._min_sq_many(x, ys)))
+    serial = [job() for job in jobs]
+    start = threading.Barrier(2, timeout=60)
+    found = [None, None]
+
+    def run(t):
+        start.wait()
+        got = {i: jobs[i]() for i in (t, 1 - t)}  # each thread in its own order
+        found[t] = [got[0], got[1]]
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert found == [serial, serial]

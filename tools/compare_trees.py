@@ -26,7 +26,10 @@ Padding cases pad above the inputs' order (midpoints, alignments, means,
 greedy bounds, ``gram --order N+1`` and ``gram --pad pairwise-sum``, and the
 stdout and exit code of ``align`` and ``mean`` on one seeded set), and pass an
 order below a graph's or above the guard, where only the error's type is
-compared.  Inputs are built with numpy here, not with the trees' own
+compared.  Fréchet means of larger batches mix members of every scan path
+(integers on both sides of the float32 certificate, Gaussians, the edges of
+the ranking window, 1e160-scaled and padded members, unit stars): 8 members
+at order 7, 25 at orders 3-5 and 3 at orders 8 and 9.  Inputs are built with numpy here, not with the trees' own
 samplers, so both trees see the same graphs.
 
 Exit status 0 when every result is identical, 1 otherwise (the differing
@@ -205,6 +208,7 @@ def _cases(gs):
                            lambda: gs.sample_mean([x, y, gs.scalar_mult(0.5, x)], max_iter=5))
                 yield from _padding_cases(gs, tag, x, y, order)
     yield from _symmetric_cases(gs)
+    yield from _mean_cases(gs)
 
 
 def _symmetric_cases(gs):
@@ -258,6 +262,61 @@ def _padding_cases(gs, tag, x, y, order):
             yield f"{tag} midpoint order={bad}", lambda b=bad: gs.midpoint(x, y, order=b)
             yield f"{tag} sample_mean order={bad}", lambda b=bad: gs.sample_mean([x, y], order=b)
             yield f"{tag} Alignment order={bad}", lambda b=bad: gs.Alignment(x, order=b)
+
+
+def _member(rng, n, d, kind):
+    """(n, n, d) cells of one sample-mean member.  Scans of two members take
+    every path: integers certified in float32 ("int" with "int") and only in
+    float64 ("int" with "int-big"), Gaussians ranked in float32, members
+    just inside and just outside both ends of the float32 window (two
+    "high" members, or two "low" ones, rank across their edge; a "high"
+    one beside a Gaussian ranks inside), and a 1e160-scaled member, whose
+    4 R^2 overflows against any partner."""
+    if kind == "int":
+        return rng.integers(-1, 3, size=(n, n, d)).astype(float)
+    if kind == "int-big":  # N (max|x| + m)^2 over 2^24 against small integers
+        m = math.isqrt(2**26 // (n * n * d))
+        return rng.integers(-m, m + 1, size=(n, n, d)).astype(float)
+    if kind == "huge":
+        return rng.integers(0, 3, size=(n, n, d)) * 1e160
+    if kind == "star":
+        return _cells(rng, n, d, "unit", 1)
+    if kind == "padded":  # two null nodes, which the mean pads back
+        return rng.normal(size=(n - 2, n - 2, d))
+    cells = rng.normal(size=(n, n, d))
+    norms = {"high-in": 2.0**50 / 1.01, "high-out": 2.0**50 * 1.01,
+             "low-in": 2.0**-51 * 1.01, "low-out": 2.0**-51 * 0.99}
+    return cells * (norms[kind] / np.linalg.norm(cells)) if kind in norms else cells
+
+
+# sample_mean batches: K members of one order, by mix of member kinds
+_MEAN_MIXES = (
+    (7, 2, ("gauss", "int", "gauss", "padded", "gauss", "star", "gauss", "gauss")),
+    (7, 2, ("int", "int", "int-big", "int", "padded", "int", "star", "int")),
+    (7, 1, ("gauss", "high-in", "high-out", "high-in", "int", "gauss", "star", "int")),
+    (7, 1, ("gauss", "int", "huge", "gauss", "int", "star", "padded", "gauss")),
+    (7, 2, ("low-in", "low-in", "low-out", "low-out", "low-in", "low-out", "low-in", "low-out")),
+    (5, 1, ("gauss", "int", "int-big", "star", "high-in", "high-out", "padded", "int") * 3
+     + ("low-in",)),
+    (4, 2, ("gauss",) * 12 + ("int",) * 12 + ("padded",)),
+    (3, 1, ("int", "low-in", "low-out", "gauss", "star") * 5),
+    (8, 1, ("gauss", "int", "gauss")),
+    (8, 1, ("int", "huge", "gauss")),
+    (8, 2, ("int", "int-big", "high-in")),
+    (9, 1, ("gauss", "int", "padded")),
+    (9, 1, ("int", "int-big", "int")),
+)
+
+
+def _mean_cases(gs):
+    """Fréchet means of K members: 8 at n = 7 (the benchmark's batch), 25 at
+    n <= 5 (more partners than one pass totals), and 3 at n = 8 and 9 (3
+    partners of 8 blocks fill a pass at n = 8; each is a pass at n = 9)."""
+    for n, d, mix in _MEAN_MIXES:
+        rng = np.random.default_rng(100 * n + len(mix))
+        graphs = [gs.from_matrix(gs.GraphMatrix(_member(rng, n, d, kind)), True) for kind in mix]
+        yield (f"sample_mean K={len(mix)} n={n} d={d} {'+'.join(sorted(set(mix)))}",
+               lambda graphs=graphs: gs.sample_mean(graphs))
 
 
 def _gram_cases(gs, cli):
