@@ -51,6 +51,14 @@ def _env_guard() -> int:
         raise GraphFormatError(f"GED_ORDER_GUARD is not an integer: {raw!r}")
 
 
+def _tolerance(text: str) -> float:
+    """A finite tolerance >= 0; with NaN, every check would compare false."""
+    tol = float(text)
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text}")
+    return tol
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with EXIT_INPUT; exit code 2
     is reserved for the order guard."""
@@ -67,7 +75,7 @@ _FLAGS = {
     "pad": (("--pad",), dict(choices=PADDING_MODES, default="bound")),
     "order": (("--order",), dict(type=int, default=None, help="fixed padding order")),
     "guard": (("--guard",), dict(type=int, default=None, help="permutation order guard")),
-    "tol": (("--tol",), dict(type=float, default=None, help=f"tolerance (default {_TOL})")),
+    "tol": (("--tol",), dict(type=_tolerance, default=None, help=f"tolerance (default {_TOL})")),
     "output": (("-o", "--output"), dict(default=None, help="write output to this path")),
 }
 
@@ -112,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a named verification suite")
     p.add_argument("--suite", required=True)
-    for flag, kind in (("--trials", int), ("--seed", int), ("--tol", float)):
+    for flag, kind in (("--trials", int), ("--seed", int), ("--tol", _tolerance)):
         p.add_argument(flag, type=kind, default=None, help="default: the suite's own")
     _add_flags(p, "guard", "output")
 

@@ -16,12 +16,13 @@ Graph file format (JSON, UTF-8)::
     }
 
 ``nodes`` lists one length-d attribute per node.  ``edges`` uses 0-based
-endpoints with ``from != to``; undirected graphs list each edge once and the
-loader symmetrizes.  Serialization writes floats with full round-trip
+endpoints with ``from != to``; undirected graphs list each edge once, in
+either orientation.  Serialization writes floats with full round-trip
 precision.
 
 A graph of order n maps to an n x n matrix of attributes: node attributes on
-the diagonal, edge attributes off it, zero cells for non-edges.  Flattened
+the diagonal, edge attributes off it (an undirected edge in both mirror
+cells, so the matrix is symmetric), zero cells for non-edges.  Flattened
 row-major, that matrix is a point of the Euclidean space R^(n*n*d) on which
 all norms and inner products below are taken.  Graphs compared together are
 padded with null nodes to one order n, which ``padded_order`` decides;
@@ -92,9 +93,9 @@ def _is_zero(attr: tuple[float, ...]) -> bool:
 class AttributedGraph:
     """Immutable graph with node and edge attributes in R^d.
 
-    Edge attributes are stored for both orientations of a pair; undirected
-    graphs keep them symmetric.  Zero edge attributes are rejected (zero
-    means "no edge").
+    An undirected edge is stored once, under (i, j) with i < j, and readers
+    derive its mirror (j, i); a directed edge is stored as listed.  Zero edge
+    attributes are rejected (zero means "no edge").
     """
 
     __slots__ = ("directed", "dim", "node_attrs", "_edges")
@@ -128,15 +129,9 @@ class AttributedGraph:
             attr = _as_attr(raw, dim, f"edge ({i},{j})")
             if _is_zero(attr):
                 raise GraphFormatError(f"zero edge attribute on ({i},{j})")
-            keys = (_edge_key(i, j), _edge_key(j, i)) if not self.directed else (_edge_key(i, j),)
-            for key in keys:
-                if key in edges:
-                    if edges[key] != attr:
-                        raise GraphFormatError(
-                            f"conflicting attributes for edge {key}"
-                        )
-                else:
-                    edges[key] = attr
+            key = _edge_key(*self._ordered(i, j))
+            if edges.setdefault(key, attr) != attr:
+                raise GraphFormatError(f"conflicting attributes for edge {(i, j)}")
         object.__setattr__(self, "_edges", edges)
 
     def __setattr__(self, name, value):
@@ -146,23 +141,24 @@ class AttributedGraph:
     def order(self) -> int:
         return len(self.node_attrs)
 
+    def _ordered(self, i: int, j: int) -> tuple[int, int]:
+        """The pair under which the edge between i and j is stored."""
+        return (i, j) if self.directed or i < j else (j, i)
+
     def edge_attr(self, i: int, j: int) -> tuple[float, ...] | None:
-        return self._edges.get((i, j))
+        return self._edges.get(self._ordered(i, j))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self._edges
+        return self._ordered(i, j) in self._edges
 
     @property
     def edges(self) -> tuple[tuple[int, int, tuple[float, ...]], ...]:
         """Canonical edge listing: each undirected edge appears once (i < j)."""
-        if self.directed:
-            keys = sorted(self._edges)
-        else:
-            keys = sorted(k for k in self._edges if k[0] < k[1])
-        return tuple((i, j, self._edges[(i, j)]) for i, j in keys)
+        return tuple((i, j, attr) for (i, j), attr in sorted(self._edges.items()))
 
     def degree(self, i: int) -> int:
-        return sum(1 for (a, b) in self._edges if a == i or b == i)
+        """Edges at node i; a directed graph counts in- and out-edges."""
+        return sum(i in key for key in self._edges)
 
     def is_null_node(self, i: int) -> bool:
         """True for an isolated node carrying the zero attribute."""
@@ -183,7 +179,7 @@ class AttributedGraph:
         kind = "directed" if self.directed else "undirected"
         return (
             f"AttributedGraph({kind}, order={self.order}, dim={self.dim}, "
-            f"edges={len(self.edges)})"
+            f"edges={len(self._edges)})"
         )
 
 
@@ -305,7 +301,7 @@ def pad_to_order(g: AttributedGraph, n: int) -> AttributedGraph:
         return g
     zero = (0.0,) * g.dim
     nodes = g.node_attrs + (zero,) * (n - g.order)
-    return AttributedGraph(g.directed, g.dim, nodes, [((i, j), a) for i, j, a in g.edges])
+    return AttributedGraph(g.directed, g.dim, nodes, g._edges)
 
 
 def strip_null_nodes(g: AttributedGraph) -> AttributedGraph:
@@ -328,6 +324,8 @@ def to_matrix(g: AttributedGraph, order: int | None = None) -> GraphMatrix:
         cells[i, i] = attr
     for (i, j), attr in g._edges.items():
         cells[i, j] = attr
+        if not g.directed:
+            cells[j, i] = attr
     return GraphMatrix(cells)
 
 
@@ -335,17 +333,10 @@ def from_matrix(m: GraphMatrix, directed: bool) -> AttributedGraph:
     """Inverse of to_matrix.  Undirected output requires symmetric cells."""
     if not directed and not m.is_symmetric():
         raise GraphFormatError("asymmetric matrix cannot represent an undirected graph")
-    n = m.n
-    nodes = [tuple(float(v) for v in m.cells[i, i]) for i in range(n)]
-    edges = []
-    for i in range(n):
-        for j in range(n) if directed else range(i + 1, n):
-            if i == j:
-                continue
-            attr = tuple(float(v) for v in m.cells[i, j])
-            if not _is_zero(attr):
-                edges.append(((i, j), attr))
-    return AttributedGraph(directed, m.dim, nodes, edges)
+    off = m.cells.any(axis=2) & ~np.eye(m.n, dtype=bool)  # -0.0 cells are zero: no edge
+    rows, cols = np.nonzero(off if directed else np.triu(off))
+    edges = zip(zip(rows.tolist(), cols.tolist()), m.cells[rows, cols].tolist())
+    return AttributedGraph(directed, m.dim, m.cells.diagonal().T.tolist(), edges)
 
 
 def padded_order(

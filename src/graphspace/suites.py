@@ -398,4 +398,6 @@ def run_suite(name: str, **params) -> SuiteReport:
     extra = sorted(set(params) - set(inspect.signature(suite).parameters))
     if extra:
         raise ValueError(f"suite {name!r} does not take {', '.join(extra)}")
+    if params.get("trials", 0) < 0:
+        raise ValueError(f"trials must be >= 0, got {params['trials']}")
     return suite(**params)

@@ -231,6 +231,13 @@ def test_run_suite_rejects_parameters_the_suite_does_not_take():
         run_suite("mcs", seed=0)
 
 
+def test_run_suite_rejects_negative_trials():
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        run_suite("ordinary", trials=-5)
+    report = run_suite("ordinary", trials=0)
+    assert report.passed and report.lines() == run_suite("ordinary", trials=0).lines()
+
+
 def test_check_is_byte_deterministic():
     args = ("check", "--suite", "metric", "--trials", "40", "--seed", "7")
     first, second = run_cli(*args), run_cli(*args)
@@ -263,6 +270,12 @@ def test_gram_is_byte_deterministic(graph_files):
         ("check", "--suite", "mcs", "--seed", "1"),
         ("check", "--suite", "mcs", "--tol", "1e-3"),
         ("check", "--suite", "ordinary", "--tol", "1e-3"),
+        ("gram", "a.json", "--tol", "nan"),
+        ("gram", "a.json", "--tol", "-1"),
+        ("gram", "a.json", "--tol", "inf"),
+        ("check", "--suite", "metric", "--tol", "nan"),
+        ("check", "--suite", "metric", "--tol", "-1"),
+        ("check", "--suite", "ordinary", "--trials", "-5"),
     ],
 )
 def test_usage_errors_exit_1(graph_files, args):
@@ -270,6 +283,7 @@ def test_usage_errors_exit_1(graph_files, args):
     write("a.json", '{"directed":false,"attr_dim":1,"nodes":[[3.0]],"edges":[]}')
     res = run_cli(*(str(tmp / a) if a == "a.json" else a for a in args))
     assert res.returncode == 1 and "error:" in res.stderr and res.stdout == ""
+    assert res.stderr.count("error:") == 1
 
 
 def test_gram_tol_applies_to_distances(graph_files):

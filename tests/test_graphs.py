@@ -26,7 +26,8 @@ def test_parse_two_node_undirected():
     assert g.order == 2
     assert g.node_attrs == ((1.0,), (2.0,))
     assert g.edge_attr(0, 1) == (3.0,)
-    assert g.edge_attr(1, 0) == (3.0,)  # loader symmetrizes
+    assert g.edge_attr(1, 0) == (3.0,)  # the mirror of the stored edge
+    assert g.has_edge(1, 0) and not g.has_edge(0, 0)
 
 
 def test_parse_single_zero_node_directed():
@@ -104,6 +105,15 @@ def test_strip_null_nodes_cases():
     assert strip_null_nodes(g) == g
     all_null = AttributedGraph(False, 1, [(0.0,), (0.0,)])
     assert strip_null_nodes(all_null).order == 0
+
+
+def test_degree_counts_each_edge_once():
+    path = AttributedGraph(False, 1, [(1.0,)] * 3 + [(0.0,)], [((0, 1), (2.0,)), ((2, 1), (3.0,))])
+    assert [path.degree(i) for i in range(4)] == [1, 2, 1, 0]
+    assert path.is_null_node(3)
+    arrows = AttributedGraph(True, 1, [(1.0,)] * 3, [((0, 1), (2.0,)), ((1, 0), (3.0,)),
+                                                     ((2, 1), (4.0,))])
+    assert [arrows.degree(i) for i in range(3)] == [2, 3, 1]  # in-edges plus out-edges
 
 
 def test_zero_attr_connected_node_is_not_null():

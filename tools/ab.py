@@ -9,9 +9,20 @@ Pair i runs ``perfbench/run.py --workload W --seed SEED0+i --seconds S
 and working directory; the old checkout runs first in even pairs and second
 in odd ones, so neither always runs on a machine the other has just warmed.
 One line is printed per pair, then per metric the median and quartiles of
-each side, the difference of the medians, and in how many pairs the new
-side was better.  Which way is better comes from the ``end_to_end`` list of
-NEW_ROOT's ``BENCHMARK.json``.  Nothing in either checkout is changed.
+each side, the difference of the medians, in how many pairs the new side
+was better, and a verdict.  Which way is better, and each metric's relative
+bound, come from the ``end_to_end`` list of NEW_ROOT's ``BENCHMARK.json``.
+Nothing in either checkout is changed.
+
+The verdict of a metric is
+- ``better`` when every new run beats every old run, or when the new side
+  wins at least nine tenths of the pairs and its median beats the old one by
+  more than the old side's interquartile range;
+- ``unresolved`` otherwise, when the old side's interquartile range is wider
+  than the bound times the old median: the runs spread too widely to tell;
+- ``worse`` when the new median is worse than the old one by more than the
+  bound times the old median;
+- ``within bound`` in every other case.
 
 Exit status 1 if any run exits nonzero, or reports an op that failed or a
 result that is not correct; 0 otherwise.
@@ -50,6 +61,25 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
     return q[0], q[2]
 
 
+def verdict(old: list[float], new: list[float], wins: int, lower_is_better: bool,
+            bound: float) -> str:
+    """better, unresolved, worse or within bound, as the module docstring
+    says; ``wins`` counts the pairs in which the new side was better."""
+    sign = 1.0 if lower_is_better else -1.0  # sign * (b - a) > 0: b is worse than a
+    if all(sign * (b - a) < 0 for a in old for b in new):
+        return "better"
+    median = statistics.median(old)
+    lo, hi = quartiles(old)
+    if hi - lo > bound * abs(median):
+        return "unresolved"
+    change = sign * (statistics.median(new) - median)
+    if change > bound * abs(median):
+        return "worse"
+    if 10 * wins >= 9 * len(old) and -change > hi - lo:
+        return "better"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="root of the baseline checkout")
@@ -64,6 +94,7 @@ def main(argv=None) -> int:
     roots = {"old": args.old.resolve(), "new": args.new.resolve()}
     spec = json.loads((roots["new"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     values: dict[str, dict[str, list[float]]] = {side: {m: [] for m in better} for side in roots}
     ok = True
     for i in range(args.pairs):
@@ -85,7 +116,7 @@ def main(argv=None) -> int:
     if done:
         print(f"\n{args.workload}: {done} pairs of {args.seconds:g} s")
         print(f"{'metric':20s} {'old median':>11s} {'old q1-q3':>19s} {'new median':>11s} "
-              f"{'new q1-q3':>19s} {'new - old':>10s} {'new wins':>9s}")
+              f"{'new q1-q3':>19s} {'new - old':>10s} {'new wins':>9s}  verdict")
         for m, way in better.items():
             old, new = values["old"][m], values["new"][m]
             wins = sum((b < a) if way == "lower" else (b > a) for a, b in zip(old, new))
@@ -93,7 +124,8 @@ def main(argv=None) -> int:
             nlo, nhi = quartiles(new)
             print(f"{m:20s} {statistics.median(old):11.4g} {lo:9.4g}-{hi:<9.4g} "
                   f"{statistics.median(new):11.4g} {nlo:9.4g}-{nhi:<9.4g} "
-                  f"{statistics.median(new) - statistics.median(old):10.4g} {wins:4d} of {len(old)}")
+                  f"{statistics.median(new) - statistics.median(old):10.4g} {wins:4d} of {len(old)}  "
+                  f"{verdict(old, new, wins, way == 'lower', bounds[m])}")
     return 0 if ok else 1
 
 

@@ -29,8 +29,15 @@ order below a graph's or above the guard, where only the error's type is
 compared.  Fréchet means of larger batches mix members of every scan path
 (integers on both sides of the float32 certificate, Gaussians, the edges of
 the ranking window, 1e160-scaled and padded members, unit stars): 8 members
-at order 7, 25 at orders 3-5 and 3 at orders 8 and 9.  Inputs are built with numpy here, not with the trees' own
-samplers, so both trees see the same graphs.
+at order 7, 25 at orders 3-5 and 3 at orders 8 and 9.  The graph layer is
+compared on its own: JSON round trips of directed and undirected graphs whose
+edges are listed forward, backward, mixed or in both orientations; their
+matrices, edge listings, ``edge_attr`` and ``has_edge`` lookups in both
+orientations and out of range, null nodes, stripping, padding, equality and
+hashes; ``from_matrix`` of cells holding +0.0 and -0.0; and the type and
+message of the errors for conflicting edges, asymmetric undirected matrices
+and non-finite cells.  Inputs are built with numpy here, not with the trees'
+own samplers, so both trees see the same graphs.
 
 Exit status 0 when every result is identical, 1 otherwise (the differing
 cases are listed).
@@ -209,6 +216,7 @@ def _cases(gs):
                 yield from _padding_cases(gs, tag, x, y, order)
     yield from _symmetric_cases(gs)
     yield from _mean_cases(gs)
+    yield from _graph_cases(gs)
 
 
 def _symmetric_cases(gs):
@@ -317,6 +325,93 @@ def _mean_cases(gs):
         graphs = [gs.from_matrix(gs.GraphMatrix(_member(rng, n, d, kind)), True) for kind in mix]
         yield (f"sample_mean K={len(mix)} n={n} d={d} {'+'.join(sorted(set(mix)))}",
                lambda graphs=graphs: gs.sample_mean(graphs))
+
+
+def _outcome(fn):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn()
+    except Exception as exc:
+        return f"raises {type(exc).__name__}: {exc}"
+
+
+# Edge listings of one 5-node graph: node 4 is null, node 3 has the zero
+# attribute but an edge.  The attribute depends only on the unordered pair,
+# so every listing is consistent.
+_LISTINGS = {
+    "forward": ((0, 1), (1, 2), (0, 3)),
+    "backward": ((1, 0), (2, 1), (3, 0)),
+    "mixed": ((0, 1), (2, 1), (3, 0)),
+    "both": ((0, 1), (1, 0), (2, 1), (1, 2), (0, 3), (3, 0)),
+}
+
+
+def _listed_graph(directed, pairs):
+    nodes = [[1.5, -0.0], [0.0, 2.0], [-1.0, 0.25], [0.0, 0.0], [-0.0, 0.0]]
+    edges = [{"from": i, "to": j, "attr": [float(i + j), -0.5]} for i, j in pairs]
+    return json.dumps({"directed": directed, "attr_dim": 2, "nodes": nodes, "edges": edges})
+
+
+def _signed_zero_cells(asymmetric):
+    """(4, 4, 2) cells with -0.0 nodes, +-0.0 non-edges and -0.0 components
+    of edges; ``asymmetric`` adds an edge from 3 to 0 only."""
+    cells = np.zeros((4, 4, 2))
+    cells[0, 0], cells[1, 1], cells[2, 2] = (-0.0, -0.0), (-0.0, 1.0), (2.0, 0.0)
+    for (i, j), attr in (((0, 1), (-0.0, 0.0)), ((1, 2), (-0.0, -0.0)),
+                         ((0, 2), (-0.0, 3.0)), ((2, 3), (0.5, -0.0))):
+        cells[i, j] = cells[j, i] = attr
+    if asymmetric:
+        cells[3, 0] = (1.0, -0.0)
+    return cells
+
+
+def _graph_cases(gs):
+    """The graph layer: parsing, serialization, lookups, stripping, padding,
+    equality, hashes and matrices, and the errors of bad input."""
+    for directed in (False, True):
+        kind = "directed" if directed else "undirected"
+        graphs = {name: gs.parse_graph(_listed_graph(directed, pairs))
+                  for name, pairs in _LISTINGS.items()}
+        for name, g in graphs.items():
+            tag = f"graph {kind} {name}"
+            yield (f"{tag} round trip",
+                   lambda g=g: gs.serialize_graph(gs.parse_graph(gs.serialize_graph(g))))
+            yield f"{tag} to_matrix", lambda g=g: gs.to_matrix(g, 6)
+            yield f"{tag} edges", lambda g=g: [g.edges, repr(g)]
+            yield (f"{tag} lookups",
+                   lambda g=g: [[g.edge_attr(i, j), g.has_edge(i, j)]
+                                for i in range(-1, 7) for j in range(-1, 7)])
+            yield f"{tag} null nodes", lambda g=g: [g.is_null_node(i) for i in range(g.order)]
+            yield f"{tag} strip", lambda g=g: gs.strip_null_nodes(g)
+            yield (f"{tag} pad",
+                   lambda g=g: [gs.pad_to_order(g, 7), gs.pad_to_order(gs.strip_null_nodes(g), 5),
+                                _outcome(lambda: gs.pad_to_order(g, 4))])
+        listed = list(graphs.values())
+        yield f"graph {kind} equality", lambda gl=listed: [[a == b for b in gl] for a in gl]
+        yield f"graph {kind} hashes", lambda gl=listed: [hash(g) for g in gl]
+        for asymmetric in (False, True):
+            cells = _signed_zero_cells(asymmetric)
+            tag = f"graph {kind} signed zeros{' asymmetric' * asymmetric}"
+            yield tag, lambda c=cells, d=directed: _outcome(
+                lambda: gs.from_matrix(gs.GraphMatrix(c), d))
+            yield f"{tag} matrix", lambda c=cells, d=directed: _outcome(
+                lambda: gs.to_matrix(gs.from_matrix(gs.GraphMatrix(c), d)))
+        for name, cells in (("empty", np.zeros((0, 0, 1))), ("d=1", [[-0.0, 2.0], [2.0, 1.0]]),
+                            ("inf node", [[math.inf, 1.0], [1.0, 0.0]]),
+                            ("nan edge", [[0.0, math.nan], [0.0, 1.0]]),
+                            ("nan mirror", [[0.0, math.nan], [math.nan, 1.0]]),
+                            ("inf mirror", [[0.0, -math.inf], [-math.inf, 1.0]]),
+                            ("asymmetric", [[0.0, 1.0], [2.0, 0.0]])):
+            yield (f"graph {kind} from_matrix {name}",
+                   lambda c=cells, d=directed: _outcome(
+                       lambda: gs.from_matrix(gs.GraphMatrix(c), d)))
+        for name, edges in (("mirror", (((0, 1), (3.0,)), ((1, 0), (4.0,)))),
+                            ("reversed mirror", (((1, 0), (3.0,)), ((0, 1), (4.0,)))),
+                            ("repeat", (((0, 1), (3.0,)), ((0, 1), (4.0,)))),
+                            ("agreeing", (((1, 0), (3.0,)), ((0, 1), (3.0,)), ((1, 0), (3.0,))))):
+            yield (f"graph {kind} conflict {name}",
+                   lambda e=edges, d=directed: _outcome(
+                       lambda: gs.AttributedGraph(d, 1, [(1.0,), (2.0,)], e)))
 
 
 def _gram_cases(gs, cli):
