@@ -17,6 +17,7 @@ from .bruteforce import (
     common_subgraph_maximum,
     dirichlet_boundary_distance,
     exhaustive_mean_optimum,
+    subperm_metric,
 )
 from .geometry import (
     MeanResult,
@@ -57,7 +58,6 @@ from .kernels import (
     induced_metric,
     induced_metric_via_kernel,
     mcs_kernel,
-    subperm_metric,
     transformation_cost,
     transformation_score,
 )

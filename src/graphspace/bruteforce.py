@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the optimized kernel and
 alignment code: common subgraphs are enumerated outright, the domain
-boundary distance is measured through bisector feet, and mean candidates are
-produced by trying every alignment combination.  Desk scale only.
+boundary distance is measured through bisector feet, mean candidates are
+produced by trying every alignment combination, and the subpermutation metric
+walks every partial permutation.  Desk scale only.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "common_subgraph_maximum",
     "dirichlet_boundary_distance",
     "exhaustive_mean_optimum",
+    "subperm_metric",
 ]
 
 
@@ -123,3 +125,35 @@ def exhaustive_mean_optimum(
             best = value
             best_cells = cand
     return best, GraphMatrix(best_cells)
+
+
+def subperm_metric(
+    x: AttributedGraph, y: AttributedGraph, guard: int = DEFAULT_ORDER_GUARD
+) -> float:
+    """Frobenius distance minimized over subpermutation matrices (weights only).
+
+    Minimizes ||A - P B P^T|| over every rank-min(n,m) subpermutation matrix
+    P, 7! at a time, with A the larger adjacency matrix: the induced metric
+    under bound padding, for weights of any sign.  It cross-checks the
+    pairwise-sum padding of nonnegative weights, where (a - b)^2 <= a^2 + b^2.
+    """
+    if x.dim != 1 or y.dim != 1:
+        raise ValueError("subpermutation metric is defined for weighted graphs (d = 1)")
+    big, small = (x, y) if x.order >= y.order else (y, x)
+    a = to_matrix(big).cells[:, :, 0]
+    b = to_matrix(small).cells[:, :, 0]
+    check_order_guard(big.order, guard)
+    total_sq = float(np.einsum("ij,ij->", a, a))
+    best = math.inf
+    perms = itertools.permutations(range(big.order), small.order)
+    while chunk := list(itertools.islice(perms, math.factorial(7))):
+        q = np.array(chunk, dtype=np.intp).reshape(len(chunk), small.order)
+        sub = a[q[:, :, None], q[:, None, :]]
+        diff = sub - b
+        cost = (
+            total_sq
+            - np.einsum("mij,mij->m", sub, sub)
+            + np.einsum("mij,mij->m", diff, diff)
+        )
+        best = min(best, float(cost.min()))
+    return math.sqrt(max(best, 0.0))

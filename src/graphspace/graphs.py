@@ -305,8 +305,10 @@ def pad_to_order(g: AttributedGraph, n: int) -> AttributedGraph:
 
 
 def strip_null_nodes(g: AttributedGraph) -> AttributedGraph:
-    """Remove every isolated zero-attribute node."""
+    """Remove every isolated zero-attribute node (g itself if there is none)."""
     keep = [i for i in range(g.order) if not g.is_null_node(i)]
+    if len(keep) == g.order:
+        return g
     index = {old: new for new, old in enumerate(keep)}
     nodes = [g.node_attrs[i] for i in keep]
     edges = [((index[i], index[j]), a) for i, j, a in g.edges]

@@ -28,7 +28,6 @@ from .orbits import (
     DEFAULT_ORDER_GUARD,
     Permutation,
     Witnessed,
-    _partial_permutations,
     apply_action,
     check_order_guard,
     gather,
@@ -51,7 +50,6 @@ __all__ = [
     "general_ged",
     "mcs_kernel",
     "McsKernel",
-    "subperm_metric",
     "greedy_bound",
     "GreedyBound",
 ]
@@ -266,9 +264,10 @@ def general_ged(
     """Minimum transformation cost over the chosen bijection class.
 
     The kernel-dot cost is the squared quotient metric, ``min_sq_over_group``.
-    Other costs are totalled through their cell-pair table; a custom cost is
-    called once per pair of cells (n**4 calls) and each total adds its cells
-    in (k, l) order, as ``transformation_cost`` does.
+    Other costs are totalled through their cell-pair table (``optimum``).
+    A custom cost is called once per pair of cells (n**4 calls); a total
+    adds its cells in (k, l) order, as ``transformation_cost`` does, and
+    the prefix tree's totals only rank the rows.
     """
     _check_morphisms(morphisms)
     xm, ym = _prepare(x, y, padding, order, guard)
@@ -276,7 +275,7 @@ def general_ged(
     if cost.kind == "kernel-dot":
         return min_sq_over_group(xm.cells, ym.cells, allowed)
     if cost.kind == "custom":
-        return optimum(_cost_table(xm.cells, ym.cells, cost), allowed=allowed, in_order=True)
+        return optimum(_cost_table(xm.cells, ym.cells, cost), allowed=allowed)
     table = _score_table(xm.cells, ym.cells, _COST_KINDS[cost.kind])
     return optimum(table, allowed=allowed)
 
@@ -346,38 +345,6 @@ def mcs_kernel(
     ordered = int(matched.sum()) - nodes
     undirected = not x.directed and not y.directed
     return McsKernel(int(round(res.value)), nodes, ordered // 2 if undirected else ordered)
-
-
-def subperm_metric(
-    x: AttributedGraph, y: AttributedGraph, guard: int = DEFAULT_ORDER_GUARD
-) -> float:
-    """Frobenius distance minimized over subpermutation matrices (weights only).
-
-    Enumerates every rank-min(n,m) subpermutation matrix P and minimizes
-    ||A - P B P^T|| with A the larger adjacency matrix.  Cross-checks the
-    induced metric under pairwise-sum padding on nonnegative weights.
-    """
-    if x.dim != 1 or y.dim != 1:
-        raise ValueError("subpermutation metric is defined for weighted graphs (d = 1)")
-    big, small = (x, y) if x.order >= y.order else (y, x)
-    a = to_matrix(big).cells[:, :, 0]
-    b = to_matrix(small).cells[:, :, 0]
-    nb, ns = big.order, small.order
-    check_order_guard(nb, guard)
-    total_sq = float(np.einsum("ij,ij->", a, a))
-    if ns == 0:
-        return math.sqrt(total_sq)
-    best = math.inf
-    for q in _partial_permutations(nb, ns):
-        sub = a[q[:, :, None], q[:, None, :]]
-        diff = sub - b
-        cost = (
-            total_sq
-            - np.einsum("mij,mij->m", sub, sub)
-            + np.einsum("mij,mij->m", diff, diff)
-        )
-        best = min(best, float(cost.min()))
-    return math.sqrt(max(best, 0.0))
 
 
 class GreedyBound(NamedTuple):

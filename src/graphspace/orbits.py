@@ -7,20 +7,18 @@ quotient distance min over the group of ||x - gamma*y|| is the exact graph
 metric everything else in this package is built on.
 
 This module is the one place where permutations are enumerated (the
-independent oracles in ``bruteforce`` aside; ``_partial_permutations``
-streams the partial ones of ``kernels.subperm_metric``).  ``_chunks`` walks
-the group a few blocks at a time (``iter_permutation_blocks``).  Every score
+independent oracles in ``bruteforce`` aside): ``_chunks`` walks the group a
+few blocks at a time (``iter_permutation_blocks``).  Every score
 in this package is a sum over cells, sum over (i, j) of
 s(x[p_i, p_j], y[i, j]): Lawler's form of the quadratic assignment problem.
 So a scan first tabulates s for every pair of a source cell of x and a
 target cell of y, an (n, n, n*n) cell-pair table with
 table[a, b, i*n + j] = s(x[a, b], y[i, j]), and totals each permutation from
-that table instead of gathering its n*n*d attribute cells.  ``optimum``
-keeps the best total; ``max_inner_over_group`` and ``min_sq_over_group``
-rank by the table of inner products, and keep the first best total when
-its totals are exact and decide in the reference forms otherwise.
-Orbits, isotropy groups, kernels, metrics, alignments and means are all
-scans of this engine.
+that table instead of gathering its n*n*d attribute cells.  Every optimum
+(``optimum``, ``max_inner_over_group``, ``min_sq_over_group``) is one walk,
+``_pass``, which keeps the first best total where totals are exact and
+otherwise ranks by them and decides in a reference form.  Orbits, isotropy
+groups, kernels, metrics, alignments and means are all scans of this engine.
 
 The scan is memory-bounded and never materialises the whole group:
 
@@ -34,8 +32,7 @@ The scan is memory-bounded and never materialises the whole group:
 * Chunks.  ``iter_permutation_blocks`` yields the sigmas of up to _CHUNK
   consecutive blocks (24: a third of the 72 blocks at n = 9), streamed from
   the prefixes, and a scan handles a chunk in a few vectorised passes
-  instead of one Python round per block (only a custom cost's in-order
-  totals go block by block, within the chunk).  Block rows ``sigma[base]``
+  instead of one Python round per block.  Block rows ``sigma[base]``
   are built only for the rows that a re-score, ``orbit``, ``isotropy_group``
   or a witness needs.
 * Partners.  One x scanned against many partners (the rounds and the start
@@ -71,7 +68,7 @@ The scan is memory-bounded and never materialises the whole group:
   column per (partner, block), and one row of offsets reads that entry
   for every node of every column at once.
 * Memory.  A scan holds its tables, n**4 * 8 bytes per partner (52 KB at
-  n = 9), and their penalised copy, per chunk the relabelled tables of its
+  n = 9), and their signed and penalised copies, per chunk the relabelled tables of its
   columns (1.3 MB for 24 at n = 9) and at most _RESCORE re-scored rows.  A
   chunk of several columns totals into buffers of its thread, which every
   later chunk and scan on that thread reuses (``_reused``), so the totals
@@ -92,19 +89,19 @@ The scan is memory-bounded and never materialises the whole group:
   partial sum, in any order, is an integer that float32's 24-bit
   significand holds exactly.  ``_Chunk.totals`` therefore totals boolean
   and integer tables in float32, and their folded totals are the reference
-  totals.  A custom cost's values are arbitrary floats, whose sum depends
-  on the order of its additions, so its totals add each row's n*n entries
-  one at a time, left to right in cell order; that is the order in which
-  Python's ``sum`` adds floats up to 3.11 (3.12's ``sum`` compensates).
+  totals.  A custom cost's float sums depend on the order of their
+  additions, so its tree totals only rank, and cell order decides
+  (``optimum``).
 * Inner products.  When x and y hold integers with
   N (max|x| + max|y|)^2 < 2^53 (N = n*n*d), every sum over their cells is
   exact and the table inner products are the reference values, so the scan
-  keeps that table's first best total, as ``optimum`` does, and the metric
-  is ||x||^2 + ||y||^2 - 2 times its value; below 2^24 the sums are exact
-  in float32 too, and the table is cast to it.  Otherwise they only rank: rows within a
-  forward-error bound of a chunk's best are re-scored in the reference form
-  (derivation in ``min_sq_over_group``), so values and witnesses are those
-  of a reference scan of every row.  Inside the window
+  keeps that table's first best total, as ``optimum`` does an integer
+  table's, and the metric is ||x||^2 + ||y||^2 - 2 times its value; below
+  2^24 the sums are exact in float32 too, and the table is cast to it.
+  Otherwise they only rank: rows within a forward-error bound of a chunk's
+  best are re-scored in the reference form (derivation in
+  ``min_sq_over_group``), so values and witnesses are those of a reference
+  scan of every row.  Inside the window
   2^-100 < (||x|| + ||y||)^2 < 2^100 the ranking totals are float32, with
   the bound derived for float32 rounding; outside it they are float64.
 
@@ -121,7 +118,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -327,13 +324,6 @@ def iter_permutation_blocks(n: int) -> Iterator[np.ndarray]:
         yield np.array(rows, dtype=np.intp).reshape(len(rows), n)
 
 
-def _partial_permutations(n: int, k: int) -> Iterator[np.ndarray]:
-    """The k-permutations of 0..n-1 in lex order, at most 7! rows at a time."""
-    perms = itertools.permutations(range(n), k)
-    while chunk := list(itertools.islice(perms, _BLOCK_ROWS)):
-        yield np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
-
-
 def gather(cells: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """cells indexed by each permutation p: out[m] = cells[ix_(p, p)].
 
@@ -415,24 +405,22 @@ class _Chunk(NamedTuple):
         b, r = divmod(i + self.start, len(base))
         return _permutation(self.sigmas[b, base[r]])
 
-    def totals(self, table: np.ndarray, in_order: bool = False) -> np.ndarray:
+    def totals(self, table: np.ndarray) -> np.ndarray:
         """Per row p scored, sum over cells k = (i, j) of table[p_i, p_j, k],
         in the table's dtype, or in float32 for a boolean or integer table
         of scores (exact: see "Exact totals" in the module docstring).
 
         ``table`` is one (n, n, n*n) cell-pair table, or a (P, n, n, n*n)
         stack of the tables of P partners, totalled together; the result is
-        (count,) or (P, count).  By default each table is relabelled by
-        every block at once and folded (``_fold``), and a row's total is its
-        block's constant plus its m(m+1)/2 pair entries, added level by
-        level over the lex prefix tree (``_tree``): the fold and the tree
-        regroup the cell scores, which is exact for integer-valued tables
-        and within the shortlist bound of ``min_sq_over_group`` for any
+        (count,) or (P, count).  Each table is relabelled by every block at
+        once and folded (``_fold``), and a row's total is its block's
+        constant plus its m(m+1)/2 pair entries, added level by level over
+        the lex prefix tree (``_tree``): the fold and the tree regroup the
+        cell scores, which is exact for integer-valued tables and within the
+        shortlist bounds of ``min_sq_over_group`` and ``optimum`` for any
         other.  With several (partner, block) columns, the result is a view
         of a buffer of this thread, valid until the next ``totals`` call on
-        it; read it (or copy it) at once.  ``in_order`` reads each row's n*n
-        entries and adds them one at a time, left to right in cell order,
-        the one order that defines a total of arbitrary floats here.
+        it; read it (or copy it) at once.
         """
         if table.dtype.kind in "biu":
             table = table.astype(np.float32)
@@ -440,15 +428,6 @@ class _Chunk(NamedTuple):
         n = sig.shape[1]
         lead = table.shape[:-3]
         tables = table.reshape(math.prod(lead), n, n, n * n)
-        if in_order:
-            cell = np.arange(n * n).reshape(n, n)
-            total = np.zeros((len(tables), len(sig), len(_base(n))), dtype=table.dtype)
-            for b, sigma in enumerate(sig):
-                p = sigma[_base(n)]
-                entries = tables[:, p[:, :, None], p[:, None, :], cell].reshape(len(tables), len(p), -1)
-                for k in range(n * n):
-                    total[:, b] += entries[:, :, k]
-            return total.reshape(lead + (-1,))[..., self.start :]
         # every table relabelled by every sigma: (partners, blocks, n, n, n*n)
         cells = sig[:, :, None] * n + sig[:, None, :]
         rel = np.take(tables.reshape(len(tables), n * n, n * n), cells, axis=1)
@@ -575,30 +554,55 @@ def optimum(
     maximize: bool = False,
     allowed: np.ndarray | None = None,
     skip_identity: bool = False,
-    in_order: bool = False,
 ) -> Witnessed:
     """Best total over a class of permutations p, and the first p reaching it.
 
     ``table`` is an (n, n, n*n) cell-pair table; the total of p is the sum
-    over cells k = (i, j) of table[p_i, p_j, k] (see ``_Chunk.totals`` for
-    ``in_order``), in the dtype ``_Chunk.totals`` takes; the value is a
-    Python float.  The class is every p with allowed[k, p_k] at every k
-    (every p if ``allowed`` is None), less the identity if ``skip_identity``.
+    over cells k = (i, j) of table[p_i, p_j, k]; the value is a Python
+    float.  The class is every p with allowed[k, p_k] at every k (every p if
+    ``allowed`` is None), less the identity if ``skip_identity``.
     ``allowed`` must admit the identity, the first row, so that it wins a
     tie at the worst value, the total of every row outside the class.
     Ties break toward the lexicographically smallest permutation.  The
     witness is None only for an empty class (``skip_identity`` at n <= 1),
     with the value -inf when maximizing and inf when minimizing.
+
+    The table's dtype decides how (``_pass``).  Boolean and integer totals
+    are exact ("Exact totals" in the module docstring): the first best
+    decides.  A float table (a custom cost) totals p as its n*n entries
+    added one at a time from 0.0, left to right in cell order
+    (``_cell_order``; the order of Python's ``sum`` up to 3.11); the tree's
+    totals rank, and each chunk's rows within eps of its best are re-scored
+    in cell order.  With u = 2^-53, N = n*n and M the largest finite
+    |entry|, a summation tree errs by at most u times the sum of its partial
+    sums (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., (4.3)), which over N terms hold at most (N^2 + N - 2) / 2 terms in
+    all.  So the tree's and cell order's totals of a row are each within
+    gamma_(N+1) N M / 2 of its exact total, gamma_k = k u / (1 - k u), and a
+    row no worse in cell order than the chunk's top-ranked row totals at
+    most 2 gamma_(N+1) N M below it in the tree.  The threshold
+    fl(fl(max) - fl(eps)) adds at most u (N M (1 + gamma_N) + 2.01 eps),
+    and eps = 3 N^2 u M covers both while (N + 1) u < 0.01 (at n = 1 the
+    one row needs none).  When 2 N M overflows, partial sums may: then
+    every row of the class is re-scored.  A row with an infinite entry
+    totals inf in every order; when every row of the class does, the first
+    wins, as above.  A minimum is the maximum of the negated table, negation
+    being exact in every sum, and 0.0 - best restores the sign without a
+    -0.0.
     """
-    pick = np.argmax if maximize else np.argmin
-    best, witness = (-math.inf if maximize else math.inf), None
-    table = _penalised(table, allowed, best)
-    for chunk in _chunks(table.shape[0], skip_identity):
-        vals = chunk.totals(table, in_order)
-        i = int(pick(vals))
-        if witness is None or (vals[i] > best if maximize else vals[i] < best):
-            best, witness = float(vals[i]), chunk.permutation(i)
-    return Witnessed(best, witness)
+    n = table.shape[0]
+    table = table * (1 if maximize else -1)
+    rank, eps = table, None
+    if table.dtype.kind == "f":
+        reach = n * n * float(np.abs(table[np.isfinite(table)]).max(initial=0.0))
+        eps = 3.0 * n * n * 2.0**-53 * reach
+        if not math.isfinite(2.0 * reach):  # every row of the class ties at 0
+            rank, eps = np.zeros_like(table), 0.0
+    [(best, witness)] = _pass(_penalised(rank, allowed, -math.inf)[None], [eps], skip_identity,
+                              lambda q, chunk, rows: _cell_order(table, chunk.perms(rows)))
+    if witness is None and (first := next(_chunks(n, skip_identity), None)):
+        witness = first.permutation(0)  # every row of the class totals -inf
+    return Witnessed(best if maximize else 0.0 - best, witness)
 
 
 def _integral(x: np.ndarray, y: np.ndarray) -> int | None:
@@ -627,7 +631,8 @@ def _integral_many(x: np.ndarray, ys: np.ndarray) -> list[int | None]:
 def _near_best(ip: np.ndarray, eps: np.ndarray) -> list[np.ndarray]:
     """Per row of a (P, rows) array of totals, the rows at or above the
     threshold fl(fl(max) - fl(eps)) of the row's eps, all in ip's dtype;
-    none where the max is -inf (every row is outside the class)."""
+    none where the max is -inf (every row is outside the class or totals
+    -inf)."""
     top = ip.max(axis=1)
     keep = ip >= (top - eps)[:, None]
     return [np.flatnonzero(k) if t > -math.inf else np.empty(0, np.intp)
@@ -639,34 +644,42 @@ def _dot_form(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _diff_form(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Minus fl(sum (g - y)^2) per row, so that ``_pass`` maximises it."""
     diff = g - y
-    return np.einsum("mijc,mijc->m", diff, diff)
+    return -np.einsum("mijc,mijc->m", diff, diff)
+
+
+def _cell_order(table: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per permutation p, its entries table[p_i, p_j, k] over the cells
+    k = (i, j), added one at a time from 0.0, left to right in cell order."""
+    n = table.shape[0]
+    entries = table[p[:, :, None], p[:, None, :], np.arange(n * n).reshape(n, n)]
+    total = np.zeros(len(p), dtype=table.dtype)
+    for column in entries.reshape(len(p), -1).T:
+        total += column
+    return total
 
 
 def _pass(
-    x: np.ndarray,
-    ys: list[np.ndarray],
     tables: np.ndarray,
     eps: list[float | None],
     skip_identity: bool,
-    metric: bool,
+    rescore: Callable[[int, _Chunk, np.ndarray], np.ndarray],
 ) -> list[tuple[float, Permutation | None]]:
-    """One walk of the group scoring x against a batch of partners ys,
-    whose (P, n, n, n*n) tables share a dtype: (best, witness) per partner.
-
-    A partner with eps None has exact totals, and its best is its first
-    largest total, as in ``optimum``.  Any other partner re-scores the rows
-    its totals rank within its eps of each chunk's best (``_near_best``),
-    _RESCORE rows at a time, in the diff form if metric and the dot form
-    otherwise, and keeps the first best of those.
+    """The one walk of the group for an optimum: per table q of a (P, n, n,
+    n*n) stack of one dtype, its largest score and the first permutation
+    reaching it (-inf and None when no row is scored).  With eps[q] None
+    its totals are exact, and the first largest decides.  Otherwise the rows
+    they rank within eps[q] of each chunk's best (``_near_best``) are
+    re-scored, _RESCORE at a time, in the reference form
+    ``rescore(q, chunk, rows)``, and the first largest of those decides.
     """
     exact = [q for q, e in enumerate(eps) if e is None]
     ranked = [q for q, e in enumerate(eps) if e is not None]
     margin = np.array([eps[q] for q in ranked], dtype=tables.dtype)  # fl(eps)
-    form, pick = (_diff_form, np.argmin) if metric else (_dot_form, np.argmax)
-    best = [-math.inf if e is None else (math.inf if metric else -math.inf) for e in eps]
+    best = [-math.inf] * len(eps)
     witness: list[Permutation | None] = [None] * len(eps)
-    for chunk in _chunks(x.shape[0], skip_identity):
+    for chunk in _chunks(tables.shape[1], skip_identity):
         vals = chunk.totals(tables)  # a view of this thread's buffers
         if exact:
             ex = vals[exact] if ranked else vals
@@ -679,10 +692,10 @@ def _pass(
         for q, short in zip(ranked, shorts):
             for start in range(0, len(short), _RESCORE):
                 part = short[start : start + _RESCORE]
-                scores = form(chunk.gather(x, part), ys[q])
-                i = int(pick(scores))
+                scores = rescore(q, chunk, part)
+                i = int(np.argmax(scores))
                 v = float(scores[i])
-                if witness[q] is None or (v < best[q] if metric else v > best[q]):
+                if witness[q] is None or v > best[q]:
                     best[q], witness[q] = v, chunk.permutation(int(part[i]))
     return list(zip(best, witness))
 
@@ -703,12 +716,10 @@ def _inner_scan(
     2<g, y> is then exact too and strictly decreasing in <g, y>.
     Otherwise it re-scores each chunk's shortlist in the reference form,
     ranked by float32 totals inside the window and by float64 totals
-    outside it (``min_sq_over_group``).  Rows outside ``allowed`` rank at
-    -inf, so a chunk whose best is -inf has no shortlist.  When 4 R^2
-    overflows, no sum ranks the rows: every row of the class totals 0 and
-    is re-scored.  Partners whose tables share a dtype are totalled
-    together (``_pass``), as many per walk of the group as fill _CHUNK
-    (partner, block) columns: 24 partners at n <= 7, 3 at n = 8, 1 at 9.
+    outside it (``min_sq_over_group``).  When 4 R^2 overflows, no sum ranks
+    the rows: every row of the class totals 0 and is re-scored.  Partners
+    whose tables share a dtype share walks (``_pass``; "Partners" in the
+    module docstring).
     """
     n, d = x.shape[0], x.shape[2]
     xx = float(np.einsum("ijc,ijc->", x, x))
@@ -737,17 +748,19 @@ def _inner_scan(
     table = _penalised(table.reshape(len(ys), n, n, n * n), allowed, -math.inf)
     blocks = min(_CHUNK, math.factorial(n) // math.factorial(min(n, _FREE)))
     per_pass = max(1, _CHUNK // blocks)
+    form = _diff_form if metric else _dot_form
     out = [None] * len(ys)  # each partner's result, filled pass by pass
     for dtype in (np.float32, np.float64):
         members = [q for q, (kind, _) in enumerate(plans) if kind is dtype]
         for start in range(0, len(members), per_pass):
             batch = members[start : start + per_pass]
             tables = table if len(batch) == len(ys) else table[batch]
-            found = _pass(x, [ys[q] for q in batch], tables.astype(dtype, copy=False),
-                          [plans[q][1] for q in batch], skip_identity, metric)
+            found = _pass(tables.astype(dtype, copy=False), [plans[q][1] for q in batch],
+                          skip_identity, lambda q, chunk, rows, part=ys[batch]:
+                          form(chunk.gather(x, rows), part[q]))
             for q, (best, witness) in zip(batch, found):
-                if metric and plans[q][1] is None:
-                    best = xx + yy[q] - 2.0 * best
+                if metric:
+                    best = xx + yy[q] - 2.0 * best if plans[q][1] is None else 0.0 - best
                 out[q] = Witnessed(best, witness)
     return out
 

@@ -102,7 +102,7 @@ def test_strip_null_nodes_cases():
     padded = AttributedGraph(False, 1, [(3.0,), (0.0,)])
     assert strip_null_nodes(padded) == AttributedGraph(False, 1, [(3.0,)])
     g = parse_graph(TWO_NODE)
-    assert strip_null_nodes(g) == g
+    assert strip_null_nodes(g) is g  # nothing to strip: no rebuilt copy
     all_null = AttributedGraph(False, 1, [(0.0,), (0.0,)])
     assert strip_null_nodes(all_null).order == 0
 

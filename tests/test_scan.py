@@ -547,6 +547,8 @@ def test_table_totals_equal_reference_totals(n, monkeypatch):
                     assert np.array_equal(total[which].astype(np.float64), ref), (name, kind, dtype)
         if custom is None:
             continue
+        # a custom cost's reference total adds its cells left to right, as
+        # Python's sum does; the cell-order form re-scores a row so
         table = custom if allowed is None else orbits._penalised(custom, allowed, math.inf)
         for chunk in orbits._chunks(n, skip_identity):
             sample = np.arange(0, chunk.count, 53)
@@ -554,7 +556,8 @@ def test_table_totals_equal_reference_totals(n, monkeypatch):
             ref = [float(sum(cost(tuple(row[k, l]), tuple(y[k, l]))
                              for k in range(n) for l in range(n))) if good else math.inf
                    for row, good in zip(orbits.gather(x, p), _admitted(allowed, p))]
-            got = chunk.totals(table, in_order=True)[sample]
+            got = orbits._cell_order(table, p)
+            assert got.dtype == np.float64
             assert [v.hex() for v in got] == [v.hex() for v in ref], name
 
 
@@ -768,8 +771,8 @@ def test_scans_total_in_float32_where_exact_or_ranked(monkeypatch):
     dtypes = []
     real = orbits._Chunk.totals
 
-    def recording(chunk, table, in_order=False):
-        totals = real(chunk, table, in_order)
+    def recording(chunk, table):
+        totals = real(chunk, table)
         dtypes.append(totals.dtype)
         return totals
 
@@ -884,6 +887,72 @@ def test_compact_scans_skip_chunks_without_a_compact_row(n, monkeypatch):
                 res = general_ged(x, y, how, "compact", order=n)
             ref = ref_optimum(n, ref_score(xm, ym), maximize, compact(rx, ry))
             assert _bits(res.value, res.witness.images) == _bits(*ref), (attrs, how)
+
+
+def test_custom_cost_near_ties_decide_in_cell_order():
+    # y's last two nodes are twins, so a row p and p composed with their swap
+    # add the same terms in other orders.  Under 0.1 |a - b| the tree here
+    # totals the cell-order optimum an ulp below another row, so a scan that
+    # trusted the tree's totals, or re-scored only its ties, would miss it.
+    n = 8
+    rng = np.random.default_rng(71)
+    y = rng.normal(size=(n, n, 1))
+    y[n - 1] = y[n - 2]
+    y[:, n - 1] = y[:, n - 2]
+    y[n - 2, n - 1] = y[n - 1, n - 2] = rng.normal()
+    p = rng.permutation(n)
+    x = y[np.ix_(p, p)] + 0.5 * rng.normal(size=y.shape)
+    xg, yg = (from_matrix(GraphMatrix(c), directed=True) for c in (x, y))
+    xm, ym = matrices(xg, yg, n)
+    res = general_ged(xg, yg, EditCost.custom(_tenth_cost))
+    ref = ref_optimum(n, _left_to_right_tenth(xm, ym), False)
+    assert _bits(res.value, res.witness.images) == _bits(*ref)
+    table = kernels._cost_table(xm, ym, EditCost.custom(_tenth_cost))
+    [(_, first)] = orbits._pass(-table[None], [None], False, None)  # trusts the tree
+    assert first.images != tuple(ref[1])
+
+
+def _left_to_right(table):
+    """Totals of a cell-pair cost table over every row, cell by cell in
+    (k, l) order."""
+    n = len(table)
+
+    def score(p):
+        total = np.zeros(len(p))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n):
+                for l in range(n):
+                    total += table[p[:, k], p[:, l], k * n + l]
+        return total
+
+    return score
+
+
+@pytest.mark.parametrize("case", ["abs all", "abs compact", "signed all"])
+def test_custom_cost_past_overflow_equals_cell_order(case):
+    # Costs near 1e307: 2 N max|entry| overflows, so the tree ranks nothing
+    # and every row of the class is re-scored in cell order.  Under |a - b|
+    # some cell-order totals reach inf and others stay finite; under the
+    # signed cost the optimum's total is finite where the tree's overflows.
+    kind, morphisms = case.split()
+    if kind == "abs":
+        n, rng = 7, np.random.default_rng(17)
+        xc, yc = rng.normal(size=(n, n, 1)), rng.normal(size=(n - 2, n - 2, 1))
+        cost = EditCost.custom(lambda a, b: 1.7e308 / (n * n) * abs(a[0] - b[0]))
+    else:
+        n, rng = 6, np.random.default_rng(19)
+        xc, yc = rng.normal(size=(2, n, n, 1))
+        cost = EditCost.custom(lambda a, b: 1.7e308 / 9 * math.tanh(a[0] - b[0]))
+    x, y = (from_matrix(GraphMatrix(c), directed=True) for c in (xc, yc))
+    xm, ym = matrices(x, y, n)
+    table = kernels._cost_table(xm, ym, cost)
+    assert not math.isfinite(2 * n * n * np.abs(table).max())
+    res = general_ged(x, y, cost, morphisms)
+    feasible = compact(n, len(yc)) if morphisms == "compact" else None
+    ref = ref_optimum(n, _left_to_right(table), False, feasible)
+    assert _bits(res.value, res.witness.images) == _bits(*ref)
+    totals = _left_to_right(table)(np.array(list(itertools.permutations(range(n)))))
+    assert 0 < np.isinf(totals).sum() < len(totals) if kind == "abs" else math.isfinite(ref[0])
 
 
 def _traced_peak(fn):

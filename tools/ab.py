@@ -18,7 +18,7 @@ The verdict of a metric is
 - ``better`` when every new run beats every old run, or when the new side
   wins at least nine tenths of the pairs and its median beats the old one by
   more than the old side's interquartile range;
-- ``unresolved`` otherwise, when the old side's interquartile range is wider
+- ``unresolved`` otherwise, when either side's interquartile range is wider
   than the bound times the old median: the runs spread too widely to tell;
 - ``worse`` when the new median is worse than the old one by more than the
   bound times the old median;
@@ -70,7 +70,8 @@ def verdict(old: list[float], new: list[float], wins: int, lower_is_better: bool
         return "better"
     median = statistics.median(old)
     lo, hi = quartiles(old)
-    if hi - lo > bound * abs(median):
+    nlo, nhi = quartiles(new)
+    if max(hi - lo, nhi - nlo) > bound * abs(median):
         return "unresolved"
     change = sign * (statistics.median(new) - median)
     if change > bound * abs(median):

@@ -17,11 +17,18 @@ graph first (orders 8 and 9), scaled by 1e160, and with a negative y-node
 that compact bijections may not route through padding, at unit scale and
 scaled so that 4 R^2 overflows; at order 9 that pair leaves a whole chunk
 without a compact row.  They call the kernels, metrics, isotropy checks,
-alignments and means of the package (a custom edit cost at orders up to 6,
-and up to 9 for d = 1, and one with infinite entries at orders up to 6), and
-the isotropy checks and Dirichlet domains of order-9 unit stars and cycles
-and of ordinary copies of them; ``gram`` CSVs of both kinds, and the stdout
-and exit code of ``check`` for every suite, are compared byte for byte.
+alignments and means of the package, and ``general_ged`` under both
+bijection classes with every built-in cost and with custom costs at orders
+up to 6, and at orders 7-9 for d = 1 and for Gaussian pairs: 0.5 plus
+|a - b| for differing cells, the same with infinite entries, the
+non-dyadic 0.1 |a - b|, one with negative values, and for Gaussian pairs
+|a - b| scaled so that N max|entry| overflows and some cell-order totals
+reach inf, and a signed cost as large.  The isotropy checks, Dirichlet
+domains and custom-cost distances (0.1 |a - b| and 0.5 plus |a - b|, to
+itself and to the other shape; ties that only the last bits of a total
+separate) of order-9 unit stars and cycles and of ordinary copies of them
+are compared too; ``gram`` CSVs of both kinds, and the stdout and exit code
+of ``check`` for every suite, are compared byte for byte.
 Padding cases pad above the inputs' order (midpoints, alignments, means,
 greedy bounds, ``gram --order N+1`` and ``gram --pad pairwise-sum``, and the
 stdout and exit code of ``align`` and ``mean`` on one seeded set), and pass an
@@ -176,6 +183,27 @@ def _inf_cost(a, b):
     return math.inf if a[0] > 1.5 else _custom_cost(a, b)
 
 
+def _tenth_cost(a, b):
+    """No multiple of a power of two: sums in another order than cell order
+    differ in their last bits, and unit graphs tie in every bit but those."""
+    return 0.1 * float(sum(abs(u - v) for u, v in zip(a, b)))
+
+
+def _signed_cost(a, b):
+    """Negative and positive finite values."""
+    return float(sum(0.1 * u * v - 0.3 * abs(u - v) for u, v in zip(a, b)))
+
+
+def _huge_costs(n):
+    """|a - b| scaled so that the n*n cells of a Gaussian pair total about
+    the largest float: N max|entry| overflows, and some cell-order totals
+    reach inf while others stay finite; and a signed cost as large, whose
+    tree totals can overflow where cell order stays finite."""
+    scale = 1.7e308 / (n * n * 1.13)
+    return {"custom-huge": lambda a, b: scale * abs(a[0] - b[0]),
+            "custom-huge-signed": lambda a, b: 4 * scale * math.tanh(a[0] - b[0])}
+
+
 def _cases(gs):
     """Yield (label, thunk) for every compared result."""
     for n in range(1, 10):
@@ -191,17 +219,19 @@ def _cases(gs):
                     for cls in ("all", "compact"):
                         yield (f"{tag} edit_kernel {score.kind} {cls}",
                                lambda s=score, c=cls: gs.edit_kernel(x, y, s, c, order=order))
-                costs = [gs.EditCost.uniform(), gs.EditCost.from_kernel(gs.DELTA),
-                         gs.EditCost.from_kernel(gs.DOT)]
-                if n <= 6 or d == 1:  # n >= 8: in-order totals over several blocks
-                    costs.append(gs.EditCost.custom(_custom_cost))
-                for cost in costs:
-                    yield (f"{tag} general_ged {cost.kind} compact",
-                           lambda c=cost: gs.general_ged(x, y, c, "compact", order=order))
-                if n <= 6:
-                    yield (f"{tag} general_ged custom-inf compact",
-                           lambda: gs.general_ged(x, y, gs.EditCost.custom(_inf_cost),
-                                                  "compact", order=order))
+                costs = {"uniform": gs.EditCost.uniform(),
+                         "kernel-delta": gs.EditCost.from_kernel(gs.DELTA),
+                         "kernel-dot": gs.EditCost.from_kernel(gs.DOT)}
+                if n <= 6 or d == 1 or family == "gauss":  # custom costs at orders 7-9
+                    customs = {"custom": _custom_cost, "custom-inf": _inf_cost,
+                               "custom-tenth": _tenth_cost, "custom-signed": _signed_cost}
+                    if family == "gauss":
+                        customs |= _huge_costs(n)
+                    costs |= {k: gs.EditCost.custom(f) for k, f in customs.items()}
+                for kind, cost in costs.items():
+                    for cls in ("all", "compact"):
+                        yield (f"{tag} general_ged {kind} {cls}",
+                               lambda c=cost, m=cls: gs.general_ged(x, y, c, m, order=order))
                 yield (f"{tag} induced_metric",
                        lambda: gs.induced_metric(x, y, order=order))
                 if n <= 8 or family in ("unit", "relabelled"):
@@ -236,6 +266,11 @@ def _symmetric_cases(gs):
             yield f"{tag} rho_star", lambda g=g: gs.Alignment(g).rho_star
             yield (f"{tag} domain_margin",
                    lambda g=g: gs.Alignment(g).domain_margin(gs.GraphMatrix(unit)))
+            other = gs.from_matrix(gs.GraphMatrix(_cells(None, n, 1, "unit", 1 - step)), True)
+            for kind, fn in (("custom-tenth", _tenth_cost), ("custom", _custom_cost)):
+                for h in (g, other):  # ties within the orbit, and across shapes
+                    yield (f"{tag} general_ged {kind} {'self' if h is g else 'other'}",
+                           lambda g=g, h=h, c=gs.EditCost.custom(fn): gs.general_ged(g, h, c))
 
 
 def _alignment_cases(gs, tag, x, y, ym, order):
