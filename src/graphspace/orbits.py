@@ -40,8 +40,8 @@ The scan is memory-bounded and never materialises the whole group:
   the group totals them all: each (partner, block) pair is a column of the
   chunk's totals, and a walk takes as many partners as fill _CHUNK columns
   (24 at n <= 7, 3 at n = 8, 1 at n = 9).  Each partner keeps its own
-  certificate, ranking dtype, eps, shortlist and witness (``_inner_scan``),
-  so its value and witness are those of a scan of its pair alone.
+  certificate, scale, eps, shortlist and witness (``_inner_scan``), so its
+  value and witness are those of a scan of its pair alone.
 * Classes as table entries.  A class that allows position k the images
   v with allowed[k, v] (the compact maps of ``kernels``) is written into
   the table, as forbidden assignments are in a Lawler cost matrix: each
@@ -68,15 +68,16 @@ The scan is memory-bounded and never materialises the whole group:
   column per (partner, block), and one row of offsets reads that entry
   for every node of every column at once.
 * Memory.  A scan holds its tables, n**4 * 8 bytes per partner (52 KB at
-  n = 9), and their signed and penalised copies, per chunk the relabelled tables of its
-  columns (1.3 MB for 24 at n = 9) and at most _RESCORE re-scored rows.  A
-  chunk of several columns totals into buffers of its thread, which every
-  later chunk and scan on that thread reuses (``_reused``), so the totals
-  allocate nothing once the thread has totalled a chunk as large: the
-  entries by offset, two levels of node totals and the entries read
-  (which then hold the totals in lex order), at most (1372 + 5040 + 2520
-  + 5040) * 24 * 8 bytes, 2.6 MiB, since no chunk has more than _CHUNK
-  columns.  A float64 scan at n = 9 peaks at 4.6 MiB with them, about
+  n = 9), and their signed and penalised copies, per chunk the relabelled
+  tables of its columns (1.3 MB for 24 at n = 9), and the rows it re-scores
+  in parts of _RESCORE_CELLS cells (324 KiB in float64) whatever d, or of
+  two rows where a row holds more.  A chunk of several columns totals into
+  buffers of its thread, which every later chunk and scan on that thread
+  reuses (``_reused``), so the totals allocate nothing once the thread has
+  totalled a chunk as large: the entries by offset, two levels of node
+  totals and the entries read (which then hold the totals in lex order),
+  at most (1372 + 5040 + 2520 + 5040) * 24 * 8 bytes, 2.6 MiB, since no
+  chunk has more than _CHUNK columns.  A float64 scan at n = 9 peaks at 4.6 MiB with them, about
   5 MB at any order.  Totals are taken in the table's dtype; a float32
   table halves the relabelled tables and the totals.  Reading the entries
   is most of a scan's time, and its pace is set by the number of
@@ -93,17 +94,19 @@ The scan is memory-bounded and never materialises the whole group:
   additions, so its tree totals only rank, and cell order decides
   (``optimum``).
 * Inner products.  When x and y hold integers with
-  N (max|x| + max|y|)^2 < 2^53 (N = n*n*d), every sum over their cells is
-  exact and the table inner products are the reference values, so the scan
-  keeps that table's first best total, as ``optimum`` does an integer
-  table's, and the metric is ||x||^2 + ||y||^2 - 2 times its value; below
-  2^24 the sums are exact in float32 too, and the table is cast to it.
-  Otherwise they only rank: rows within a forward-error bound of a chunk's
-  best are re-scored in the reference form (derivation in
+  N (max|x| + max|y|)^2 < 2^24 (N = n*n*d), every sum over their cells is
+  exact in float32 and the table inner products are the reference values,
+  so the scan keeps that table's first best total, as ``optimum`` does an
+  integer table's, and the metric is ||x||^2 + ||y||^2 - 2 times its
+  value.  Otherwise they only rank: rows within a forward-error bound of a
+  chunk's best are re-scored in the reference form (derivation in
   ``min_sq_over_group``), so values and witnesses are those of a reference
-  scan of every row.  Inside the window
-  2^-100 < (||x|| + ||y||)^2 < 2^100 the ranking totals are float32, with
-  the bound derived for float32 rounding; outside it they are float64.
+  scan of every row.  The table is built from x and y scaled by the power
+  of two that takes their largest |cell| into [1/2, 1): the scaling is
+  exact but for cells it makes subnormal, commutes with every permutation
+  and leaves the ranking as it is, so the totals rank in float32 at every
+  scale.  Only calls with N + 3 >= 2^20 total in float64, where float32's
+  bound grows too loose.
 
 Permutations are enumerated in lexicographic order of their image sequences,
 and every "return one minimizer/maximizer" contract below breaks ties toward
@@ -145,9 +148,11 @@ _FREE = 7
 _BLOCK_ROWS = math.factorial(_FREE)
 # Blocks totalled in one pass; bounds a scan's working memory at any order.
 _CHUNK = 24
-# Rows re-scored at once in a reference form; bounds the extra memory of a
-# chunk whose rows all tie (a unit star, say).
-_RESCORE = 512
+# Cells gathered at once when rows are re-scored in a reference form (512
+# rows at n = 9, d = 1); bounds the extra memory of a chunk whose rows all
+# tie (a unit star, say) whatever the attribute dimension.  Parts twice as
+# large re-scored ties about 1.5 times slower per row.
+_RESCORE_CELLS = 512 * 81
 
 
 class OrderGuardError(RuntimeError):
@@ -599,22 +604,18 @@ def optimum(
         if not math.isfinite(2.0 * reach):  # every row of the class ties at 0
             rank, eps = np.zeros_like(table), 0.0
     [(best, witness)] = _pass(_penalised(rank, allowed, -math.inf)[None], [eps], skip_identity,
-                              lambda q, chunk, rows: _cell_order(table, chunk.perms(rows)))
+                              n * n, lambda q, chunk, rows: _cell_order(table, chunk.perms(rows)))
     if witness is None and (first := next(_chunks(n, skip_identity), None)):
         witness = first.permutation(0)  # every row of the class totals -inf
     return Witnessed(best if maximize else 0.0 - best, witness)
 
 
-def _integral(x: np.ndarray, y: np.ndarray) -> int | None:
-    """N (max|x| + max|y|)^2 when x and y hold integers and it is below
-    2^53, else None.  Below 2^b, every sum of products or squared
-    differences of their cells, in any order, is exact in a float format
-    with a b-bit significand (53 in float64, 24 in float32)."""
-    return _integral_many(x, y[None])[0]
-
-
 def _integral_many(x: np.ndarray, ys: np.ndarray) -> list[int | None]:
-    """``_integral`` of x and each partner ys[q] of a (P, n, n, d) stack."""
+    """Per partner ys[q] of a (P, n, n, d) stack, N (max|x| + max|y|)^2
+    when x and y = ys[q] hold integers and it is below 2^53, else None.
+    Below 2^b, every sum of products or squared differences of their cells,
+    in any order, is exact in a float format with a b-bit significand (53
+    in float64, 24 in float32)."""
     if not np.array_equal(x, np.trunc(x)):
         return [None] * len(ys)
     top = np.abs(x).max(initial=0.0)
@@ -655,8 +656,9 @@ def _cell_order(table: np.ndarray, p: np.ndarray) -> np.ndarray:
     n = table.shape[0]
     entries = table[p[:, :, None], p[:, None, :], np.arange(n * n).reshape(n, n)]
     total = np.zeros(len(p), dtype=table.dtype)
-    for column in entries.reshape(len(p), -1).T:
-        total += column
+    with np.errstate(over="ignore"):  # a total past the largest float is inf
+        for column in entries.reshape(len(p), -1).T:
+            total += column
     return total
 
 
@@ -664,6 +666,7 @@ def _pass(
     tables: np.ndarray,
     eps: list[float | None],
     skip_identity: bool,
+    cells: int,
     rescore: Callable[[int, _Chunk, np.ndarray], np.ndarray],
 ) -> list[tuple[float, Permutation | None]]:
     """The one walk of the group for an optimum: per table q of a (P, n, n,
@@ -671,9 +674,14 @@ def _pass(
     reaching it (-inf and None when no row is scored).  With eps[q] None
     its totals are exact, and the first largest decides.  Otherwise the rows
     they rank within eps[q] of each chunk's best (``_near_best``) are
-    re-scored, _RESCORE at a time, in the reference form
-    ``rescore(q, chunk, rows)``, and the first largest of those decides.
+    re-scored in the reference form ``rescore(q, chunk, rows)``, which reads
+    ``cells`` cells per row, and the first largest of those decides.  Parts
+    of a shortlist hold _RESCORE_CELLS cells, and at least two rows unless
+    the shortlist has one: ``np.einsum`` adds the cells of a lone row of
+    more than 8192 cells in another order than those of rows scored
+    together, so a split must leave no row alone.
     """
+    step = max(2, _RESCORE_CELLS // max(cells, 1))
     exact = [q for q, e in enumerate(eps) if e is None]
     ranked = [q for q, e in enumerate(eps) if e is not None]
     margin = np.array([eps[q] for q in ranked], dtype=tables.dtype)  # fl(eps)
@@ -690,8 +698,9 @@ def _pass(
         # read before anything else totals: the shortlists are copies
         shorts = _near_best(vals[ranked] if exact else vals, margin) if ranked else []
         for q, short in zip(ranked, shorts):
-            for start in range(0, len(short), _RESCORE):
-                part = short[start : start + _RESCORE]
+            # parts of step rows; a lone last row joins the part before it
+            for start in range(0, len(short) - 1 or 1, step):
+                part = short[start : start + step + (start + step == len(short) - 1)]
                 scores = rescore(q, chunk, part)
                 i = int(np.argmax(scores))
                 v = float(scores[i])
@@ -710,58 +719,60 @@ def _inner_scan(
     """``min_sq_over_group`` if metric, else ``max_inner_over_group``, of x
     against each partner ys[q] of a (P, n, n, d) stack, one result each.
 
-    Every partner decides as a scan of its own pair would.  Under
-    ``_integral`` its table inner products <g, y> are exact (in float32
-    below 2^24) and its first best total decides; ||x||^2 + ||y||^2 -
-    2<g, y> is then exact too and strictly decreasing in <g, y>.
-    Otherwise it re-scores each chunk's shortlist in the reference form,
-    ranked by float32 totals inside the window and by float64 totals
-    outside it (``min_sq_over_group``).  When 4 R^2 overflows, no sum ranks
-    the rows: every row of the class totals 0 and is re-scored.  Partners
-    whose tables share a dtype share walks (``_pass``; "Partners" in the
-    module docstring).
+    Every partner decides as a scan of its own pair would.  Where
+    ``_integral_many`` bounds its sums below 2^24, its table inner products
+    <g, y> are exact, in float32 too, and its first best total decides;
+    ||x||^2 + ||y||^2 - 2<g, y> is then exact too and strictly decreasing in
+    <g, y>.  When 4 R^2 overflows, no sum ranks the rows: every row of the
+    class totals 0 and is re-scored.  Otherwise its table holds the inner
+    products of 2^k x and 2^k y, which rank the rows as <g, y> does, and
+    each chunk's shortlist is re-scored in the reference form on the
+    unscaled cells (``min_sq_over_group``).  Totals are float32, or float64
+    for the whole call when N + 3 >= 2^20, and partners share walks
+    (``_pass``; "Partners" in the module docstring).
     """
     n, d = x.shape[0], x.shape[2]
-    xx = float(np.einsum("ijc,ijc->", x, x))
-    yy = np.einsum("qijc,qijc->q", ys, ys).tolist()
     terms = x.size + 3
-    plans = []  # (table dtype, eps or None for exact totals) per partner
-    for q, bound in enumerate(_integral_many(x, ys)):
-        r = math.sqrt(xx) + math.sqrt(yy[q])
-        if bound is not None:  # 4 R^2 is finite
-            plans.append((np.float32 if bound < 2**24 else np.float64, None))
-        elif not math.isfinite(4.0 * r * r):
-            plans.append((np.float32, 0.0))
-        elif terms < 2**20 and 2.0**-100 < r * r < 2.0**100:
-            plans.append((np.float32, 4.0 * terms * 2.0**-24 * r * r + terms * 2.0**-149))
+    dtype, u = (np.float32, 2.0**-24) if terms < 2**20 else (np.float64, 2.0**-53)
+    exact = [b is not None and b < 2**24 for b in _integral_many(x, ys)]
+    # 2^k takes the largest |cell| of x and a ranked partner into [1/2, 1);
+    # xx and yy are their squared norms in that frame
+    top = np.abs(ys).max(axis=(1, 2, 3), initial=np.abs(x).max(initial=0.0)).tolist()
+    k = [0 if e else -math.frexp(t)[1] for e, t in zip(exact, top)]
+    shift = np.array(k, dtype=np.int32)[:, None, None]
+    xs = np.ldexp(x.reshape(1, n * n, d), shift)
+    ws = np.ldexp(ys.reshape(len(ys), n * n, d), shift)
+    xx, yy = np.einsum("qkc,qkc->q", xs, xs).tolist(), np.einsum("qkc,qkc->q", ws, ws).tolist()
+    # eps in the scaled frame: None for exact totals, 0.0 where 4 R^2
+    # overflows unscaled (or a cell is not finite), and a second term that
+    # stops at 4 (N + 3) > R^2, which keeps every row of the class
+    eps: list[float | None] = []
+    for e, kq, a, b in zip(exact, k, xx, yy):
+        r2 = (math.sqrt(a) + math.sqrt(b)) ** 2
+        if not math.isfinite(r2) or math.frexp(4.0 * r2)[1] - 2 * kq > 1024:
+            eps.append(0.0)
         else:
-            plans.append((np.float64, 4.0 * terms * 2.0**-53 * r * r + terms * 2.0**-1070))
-    # The inner products of the ranked partners, as a matrix product: its
-    # sums are within the bounds of min_sq_over_group (exact under
-    # _integral), and finite, |<g, y>| <= R^2 / 4.  An unranked partner's
-    # table is 0.
-    live = [q for q, (_, eps) in enumerate(plans) if eps != 0.0]
-    table = x.reshape(n * n, d) @ ys[live].reshape(len(live), n * n, d).transpose(0, 2, 1)
-    if len(live) < len(ys):
-        table, ranked = np.zeros((len(ys), n * n, n * n)), table
-        table[live] = ranked
-    table = _penalised(table.reshape(len(ys), n, n, n * n), allowed, -math.inf)
+            eps.append(None if e else terms * (4 * u * r2 + math.ldexp(1, min(2 * kq - 1070, 2))))
+    if 0.0 in eps:  # a partner without ranking totals 0
+        keep = np.array([e != 0.0 for e in eps])[:, None, None]
+        xs, ws = np.where(keep, xs, 0.0), np.where(keep, ws, 0.0)
+    # The inner products as a matrix product: finite, |<g, y>| <= R^2 / 4,
+    # and exact where eps is None
+    table = xs @ ws.transpose(0, 2, 1)
+    table = _penalised(table.reshape(len(ys), n, n, n * n).astype(dtype, copy=False),
+                       allowed, -math.inf)
     blocks = min(_CHUNK, math.factorial(n) // math.factorial(min(n, _FREE)))
     per_pass = max(1, _CHUNK // blocks)
     form = _diff_form if metric else _dot_form
-    out = [None] * len(ys)  # each partner's result, filled pass by pass
-    for dtype in (np.float32, np.float64):
-        members = [q for q, (kind, _) in enumerate(plans) if kind is dtype]
-        for start in range(0, len(members), per_pass):
-            batch = members[start : start + per_pass]
-            tables = table if len(batch) == len(ys) else table[batch]
-            found = _pass(tables.astype(dtype, copy=False), [plans[q][1] for q in batch],
-                          skip_identity, lambda q, chunk, rows, part=ys[batch]:
-                          form(chunk.gather(x, rows), part[q]))
-            for q, (best, witness) in zip(batch, found):
-                if metric:
-                    best = xx + yy[q] - 2.0 * best if plans[q][1] is None else 0.0 - best
-                out[q] = Witnessed(best, witness)
+    out = []
+    for start in range(0, len(ys), per_pass):
+        batch = slice(start, start + per_pass)
+        found = _pass(table[batch], eps[batch], skip_identity, x.size,
+                      lambda q, chunk, rows, part=ys[batch]: form(chunk.gather(x, rows), part[q]))
+        for q, (best, witness) in enumerate(found, start):
+            if metric:
+                best = xx[q] + yy[q] - 2.0 * best if eps[q] is None else 0.0 - best
+            out.append(Witnessed(best, witness))
     return out
 
 
@@ -784,8 +795,8 @@ def max_inner_over_group(
     of the class in the reference form ``einsum("mijc,ijc->m", g, y)``;
     that form decides among the rows the table ranks near each chunk's best
     (``_inner_scan``; the bound is derived in ``min_sq_over_group``),
-    _RESCORE rows at a time.  With an empty class the value is -inf and the
-    witness None.
+    _RESCORE_CELLS cells at a time.  With an empty class the value is -inf
+    and the witness None.
     """
     return _inner_scan(x, y[None], allowed, skip_identity, metric=False)[0]
 
@@ -806,70 +817,54 @@ def min_sq_over_group(
     Values and witnesses are those of scoring every row g of the class in the
     diff form fl(sum (g - y)^2); that form alone is evaluated on the rows
     that can win, which keeps exact zeros for isomorphic pairs.  Each chunk
-    is first ranked by its table inner products <g, y>, and only the rows
-    within eps of the chunk's largest one are re-scored.  With u = 2^-53,
-    N = n*n*d cells, gamma_k = k*u / (1 - k*u) and R = ||x|| + ||y||
+    is first ranked by its table totals T(g), and only the rows within eps
+    of the chunk's largest one are re-scored, _RESCORE_CELLS cells at a
+    time, so a chunk of ties gathers no full block.
+
+    The table holds the inner products of s x and s y, where the power of
+    two s takes the largest |cell| of x and y into [1/2, 1) (s = 1 when
+    every cell is 0).  The scaling is exact but where it makes a cell
+    subnormal, which moves that cell by at most 2^-1075, and it commutes
+    with every permutation, so T(g) estimates s^2 <g, y>.  In this frame let
+    N = n*n*d cells and R = ||s x|| + ||s y||, so that 1/4 <= R^2 < 4N
     (every row has ||g|| = ||x||, and ||g - y||^2 = ||x||^2 + ||y||^2 -
-    2<g, y> exactly):
+    2<g, y> exactly; when every cell is 0, every total is 0 and every row
+    is kept); u = 2^-24 for float32 totals and 2^-53 for the float64 totals
+    of calls with N + 3 >= 2^20, and gamma_k = k u / (1 - k u) <= 1.07 k u
+    for k <= N + 2.
 
-    * a row total adds the N products of its cells once each, through the
-      table, the fold and the row sum in some order, so each product
-      carries at most N roundings (one for the product, N - 1 additions):
-      |fl(<g, y>) - <g, y>| <= gamma_N ||x|| ||y|| <= gamma_N R^2 / 4; the
-      reference dot ``einsum`` obeys the same bound;
-    * each term of the diff form carries at most N + 2 roundings, so
-      |fl(||g - y||^2) - ||g - y||^2| <= gamma_(N+2) R^2.
+    * A table entry adds the d float64 products of one cell pair and is
+      rounded to the totals' dtype; a row total adds its n*n entries through
+      the fold and the tree.  So each product carries at most N + 1
+      roundings: |T(g) - s^2 <g, y>| <= gamma_(N+1) R^2 / 4 + a, where
+      a <= n*n 2^-150 + N 2^-1073 covers entries below float32's normal
+      range, products that underflow in float64 and cells that the scaling
+      rounds.
+    * The reference forms run in float64 on the unscaled cells, and each
+      term of the diff form carries at most N + 2 roundings.  So if g scores
+      no worse than h in it, s^2 (<h, y> - <g, y>) <= gamma_(N+2) R^2 +
+      s^2 N 2^-1074, the last term for squares that underflow (by at most
+      2^-1075 each, in each score); the reference dot of
+      ``max_inner_over_group`` gives no more.  Hence T(h) - T(g) <=
+      1.5 gamma_(N+2) R^2 + 2a + s^2 N 2^-1074.
+    * The threshold fl(fl(max) - fl(eps)) lies at most eps (2u + u^2) +
+      u (1 + gamma_(N+1)) R^2 / 4 above max - eps.
 
-    If row g scores no worse than the chunk's top-ranked row h in the diff
-    form, then <h, y> - <g, y> <= gamma_(N+2) R^2 and hence
-    fl(<h, y>) - fl(<g, y>) <= 1.5 gamma_(N+2) R^2; if g scores no worse
-    than h in the reference dot of ``max_inner_over_group``, the gap is at
-    most gamma_N R^2.  So
-    every row that can be a chunk's first optimum lies within
-    eps = 4 (N + 3) u R^2 of the chunk's best inner product; the factor 4
-    over 1.5 absorbs the rounding of eps itself, of the norms, and of the
-    subtraction.  The term (N + 3) 2^-1070 covers products that underflow.
-    The bounds assume that no sum overflows, which holds while 4 R^2 is
-    finite; beyond that (or with non-finite attributes) every row is
-    re-scored.  When ``_integral`` certifies x and y, the inner products
-    and ||x||^2 + ||y||^2 - 2<g, y> are exact, equal to the diff form, and
-    no row is re-scored; when ``_integral``'s bound is below 2^24 the table
-    is float32, and its sums are exact there too.  Re-scoring runs _RESCORE
-    rows at a time, so a chunk of ties gathers no full block.
-
-    Float32 totals.  While 2^-100 < R^2 < 2^100 and N + 3 < 2^20, the
-    table is cast to float32, its totals are float32 sums, and the same
-    argument holds with u = 2^-24 (float64 steps round by at most
-    2^-53 < u):
-
-    * a table entry adds the d float64 products of one cell pair, and its
-      cast to float32 rounds once more, by a relative u or, below 2^-126,
-      by an absolute 2^-150 at most; a row total adds its n*n entries with
-      n*n - 1 float32 additions, which are exact where they underflow.  So
-      each product carries at most d + n*n <= N + 1 relative roundings:
-      |T(g) - <g, y>| <= gamma_(N+1) R^2 / 4 + n*n 2^-150 (1 + gamma_(n*n))
-      + N 2^-1074, the last term for products that underflow in float64;
-    * if g scores no worse than h in the diff form, <h, y> - <g, y> <=
-      gamma64_(N+2) R^2 (the float64 bound above, gamma64 at 2^-53, a
-      fraction 2^-29 of gamma), so T(h) - T(g) <= (0.5 + 2^-29)
-      gamma_(N+2) R^2 + n*n 2^-149 (1 + gamma_(n*n)) + N 2^-1073; the
-      reference dot gives less;
-    * the threshold is fl32(fl32(max) - fl32(eps)): eps rounds to float32
-      by a relative u (it exceeds 2^-120, so it is normal), and the
-      difference by u |max - eps| <= u (R^2 / 4 (1 + gamma_(N+1)) + eps
-      (1 + u)).  So it lies at most eps (2u + u^2) + u R^2 / 4 (1 +
-      gamma_(N+1)) above max - eps.
-
-    With N + 3 < 2^20, gamma_(N+2) <= 1.07 (N + 2) u, and the shortlist
-    keeps every row that can win while eps (1 - 2u - u^2) exceeds
-    0.55 (N + 2) u R^2 + 0.27 u R^2 plus the underflow terms, at most
-    1.07 n*n 2^-149 + N 2^-1073.  eps = 4 (N + 3) u R^2 + (N + 3) 2^-149
-    does: n*n <= N, and its first term exceeds its share by more than
-    3 N u R^2 > 3 N 2^-124.  No float32 sum overflows: every partial sum is
-    at most R^2 / 4 (1 + gamma_(N+1)) < 2^99 in magnitude, and eps < 2^98.
-    The lower end of the window keeps the underflow term below 2^-27 of
-    the rounding term, so float32 shortlists stay as short as float64's;
-    outside the window the table stays float64.
+    So every row that can be a chunk's first optimum lies within
+    eps = (N + 3) (4 u R^2 + s^2 2^-1070) of the chunk's best total: the
+    first term, times 1 - 2u - u^2, exceeds 1.61 (N + 2) u R^2 + 0.27 u R^2
+    by more than 2 N u R^2 >= N u / 2, far above 2a, and also absorbs the
+    rounding of the norms; the second exceeds s^2 N 2^-1074 sixteenfold.
+    Where the second term would pass 4 (N + 3) it stops there: eps then
+    exceeds R^2 and keeps every row of the class, while the rows outside
+    the class, at -inf, stay out.  No total
+    overflows: every partial sum is at most (1 + gamma_(N+1)) R^2 / 4 < 2N
+    in magnitude.  The bounds assume that no reference sum overflows, which
+    holds while 4 (||x|| + ||y||)^2 is finite; beyond that (or with
+    non-finite attributes) every row is re-scored.  When
+    ``_integral_many`` bounds x and y below 2^24, the table is unscaled, its
+    totals and ||x||^2 + ||y||^2 - 2<g, y> are exact and equal to the diff
+    form, and no row is re-scored.
     """
     return _inner_scan(x, y[None], allowed, skip_identity, metric=True)[0]
 

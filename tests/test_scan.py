@@ -404,8 +404,8 @@ def diff_form(x, y):
     return score
 
 
-# R^2 = (||x|| + ||y||)^2 just inside and just outside each edge of the
-# window 2^-100 < R^2 < 2^100 in which inner products rank in float32.
+# R^2 = (||x|| + ||y||)^2 just inside and just outside 2^-100 and 2^100:
+# far from 1, where float32 rankings rely on the power-of-two scaling.
 WINDOW_EDGES = {
     "low-inside": 2.0**-100 * 1.001,
     "low-outside": 2.0**-100 / 1.001,
@@ -441,7 +441,7 @@ NEAR_TIES = dict(
     d=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["float", "noisy-copy", "symmetric", "float32-ties", "constant"]),
-    scale=st.sampled_from([1.0, 1e-150, 1e150, 1e160, *WINDOW_EDGES]),
+    scale=st.sampled_from([1.0, 1e-150, 1e-160, 1e-162, 1e150, 1e160, *WINDOW_EDGES]),
 )
 
 
@@ -521,7 +521,7 @@ def test_table_totals_equal_reference_totals(n, monkeypatch):
     x = rng.integers(-1, 3, size=(n, n, d)).astype(float)
     y = rng.integers(-1, 3, size=(n, n, d)).astype(float)
     y[:1] = 0.0  # null cells
-    assert orbits._integral(x, y) < 2**24
+    assert orbits._integral_many(x, y[None])[0] < 2**24
     tables = {(kind, dtype): _table(kind, x, y).astype(dtype)
               for kind in TOTAL_KINDS for dtype in (np.float32, np.float64)}
     tables |= {(kind, None): _table(kind, x, y) for kind in TOTAL_KINDS if kind != "dot"}
@@ -716,7 +716,7 @@ def test_dot_kernel_and_metric_match_reference_at_the_certificate_boundary(n, d,
     yg = from_matrix(GraphMatrix(y), directed=True)
     xm, ym = matrices(xg, yg, n)
     if kind.endswith("24"):  # the float32 certificate holds on one side only
-        assert (orbits._integral(xm, ym) < 2**24) == (kind == "under24")
+        assert (orbits._integral_many(xm, ym[None])[0] < 2**24) == (kind == "under24")
     for morphisms, feasible in (("all", None), ("compact", compact(rx, ry))):
         res = edit_kernel(xg, yg, DOT, morphisms, order=n)
         ref = ref_optimum(n, dot_form(xm, ym), True, feasible)
@@ -755,7 +755,7 @@ def test_infeasible_scan_has_no_witness(n, kind):
         if kind == "huge":
             x, y = 1e160 * x, 1e160 * y
     if n:  # an empty pair is certified
-        assert (orbits._integral(x, y) is not None) == (kind == "int")
+        assert (orbits._integral_many(x, y[None])[0] is not None) == (kind == "int")
     assert orbits.min_sq_over_group(x, y, skip_identity=True) == (math.inf, None)
     assert orbits.max_inner_over_group(x, y, skip_identity=True) == (-math.inf, None)
     with np.errstate(over="ignore", invalid="ignore"):  # huge products overflow
@@ -765,9 +765,10 @@ def test_infeasible_scan_has_no_witness(n, kind):
 
 
 def test_scans_total_in_float32_where_exact_or_ranked(monkeypatch):
-    # Integer score tables, integer inner products under 2^24 and inner
-    # products ranked inside the window total in float32; integers over
-    # 2^24, scales outside the window and custom costs total in float64.
+    # Integer score tables and every inner product total in float32: exact
+    # integers under 2^24, and ranked ones at any scale (integers over 2^24
+    # among them).  Custom costs, and inner products with N + 3 >= 2^20,
+    # total in float64.
     dtypes = []
     real = orbits._Chunk.totals
 
@@ -787,14 +788,17 @@ def test_scans_total_in_float32_where_exact_or_ranked(monkeypatch):
     rng = np.random.default_rng(5)
     for kind in ("under24", "over24"):
         x, y = _boundary_cells(rng, 5, 2, kind)
-        want = np.float32 if kind == "under24" else np.float64
-        assert dtype_of(lambda: orbits.min_sq_over_group(x, y)) == want, kind
-        assert dtype_of(lambda: orbits.max_inner_over_group(x, y)) == want, kind
-    for scale in (1.0, *WINDOW_EDGES):
+        assert dtype_of(lambda: orbits.min_sq_over_group(x, y)) == np.float32, kind
+        assert dtype_of(lambda: orbits.max_inner_over_group(x, y)) == np.float32, kind
+    for scale in (1.0, 1e-162, 1e-160, 1e150, *WINDOW_EDGES):
         x, y = _near_tie_pair(5, 2, 6, "float", scale)
-        want = np.float64 if str(scale).endswith("outside") else np.float32
-        assert dtype_of(lambda: orbits.min_sq_over_group(x, y)) == want, scale
-        assert dtype_of(lambda: orbits.max_inner_over_group(x, y)) == want, scale
+        assert dtype_of(lambda: orbits.min_sq_over_group(x, y)) == np.float32, scale
+        assert dtype_of(lambda: orbits.max_inner_over_group(x, y)) == np.float32, scale
+        assert dtype_of(lambda: orbits._min_sq_many(x, [y, x, 2 * y])) == np.float32, scale
+    for d, want in ((2**18 - 1, np.float32), (2**18, np.float64)):  # N + 3 = 2^20 - 1, 2^20 + 3
+        x, y = rng.normal(size=(2, 2, 2, d))
+        assert dtype_of(lambda: orbits.min_sq_over_group(x, y)) == want, d
+        assert dtype_of(lambda: orbits.max_inner_over_group(x, y)) == want, d
     g, h = random_graph(rng, 5, 2, attrs="int"), random_graph(rng, 4, 2, attrs="int")
     assert dtype_of(lambda: edit_kernel(g, h, DELTA)) == np.float32
     assert dtype_of(lambda: general_ged(g, h, EditCost.uniform())) == np.float32
@@ -908,7 +912,7 @@ def test_custom_cost_near_ties_decide_in_cell_order():
     ref = ref_optimum(n, _left_to_right_tenth(xm, ym), False)
     assert _bits(res.value, res.witness.images) == _bits(*ref)
     table = kernels._cost_table(xm, ym, EditCost.custom(_tenth_cost))
-    [(_, first)] = orbits._pass(-table[None], [None], False, None)  # trusts the tree
+    [(_, first)] = orbits._pass(-table[None], [None], False, n * n, None)  # trusts the tree
     assert first.images != tuple(ref[1])
 
 
@@ -967,11 +971,24 @@ def _traced_peak(fn):
 
 def test_dot_kernel_rescores_float_ties_in_bounded_memory():
     # 0.1 is no integer, so the inner products only rank, and the 8! rows that
-    # fix the star tie at the best: all are re-scored, _RESCORE at a time.
+    # fix the star tie at the best: all are re-scored, _RESCORE_CELLS cells
+    # at a time.
     x = 0.1 * to_matrix(unit_star(9)).cells
     res, peak = _traced_peak(lambda: orbits.max_inner_over_group(x, x))
     assert peak < 12 * 2**20
     assert _bits(res.value, res.witness.images) == _bits(*ref_optimum(9, dot_form(x, x), True))
+
+
+def test_rescoring_memory_does_not_grow_with_the_attribute_dimension():
+    # Every row that fixes the star ties at the best and is re-scored; parts
+    # hold _RESCORE_CELLS cells, so d = 256 re-scores a few rows at a time.
+    rng = np.random.default_rng(29)
+    x = 0.1 * np.repeat(to_matrix(unit_star(8)).cells, 256, axis=2)
+    p = rng.permutation(8)
+    y = x[np.ix_(p, p)].copy()
+    res, peak = _traced_peak(lambda: orbits.min_sq_over_group(x, y))
+    assert res.value == 0.0
+    assert peak < 16 * 2**20
 
 
 def test_memory_stays_bounded_beyond_the_default_guard():
@@ -989,9 +1006,9 @@ def test_memory_stays_bounded_beyond_the_default_guard():
 
 def _partners(rng, x, n, d):
     """Partners of x that take every path of a scan: small integers (exact
-    in float32) and integers above 2^24 (exact in float64) when x holds
-    integers, Gaussians ranked in float32, scaled by 1e60 (ranked in
-    float64) and by 1e160 (4 R^2 overflows: no ranking), a relabelled copy
+    totals) and integers above 2^24 (ranked, with exact reference forms)
+    when x holds integers, Gaussians, scaled by 1e60 (ranked in a frame
+    scaled down) and by 1e160 (4 R^2 overflows: no ranking), a relabelled copy
     of x (an exact zero), the unit star (ties) and a graph padded with
     null nodes.  Orders 8 and 9 take one unranked partner, whose scan
     re-scores every row."""
@@ -1044,22 +1061,30 @@ def test_many_partner_scans_equal_single_scans(n):
         assert _many_bits(orbits._min_sq_many(x, ys[2:3])) == _many_bits(single[2:3]), name
 
 
-def test_many_partner_paths_are_the_single_scans_paths():
-    # The batch of an integer x holds every kind of partner: exact float32
-    # and float64 totals, float32 and float64 rankings, and no ranking.
+def test_many_partner_paths_are_the_single_scans_paths(monkeypatch):
+    # The batch of an integer x holds every kind of partner: exact totals,
+    # certified integers over 2^24, Gaussians at unit scale and scaled by
+    # 1e60, and no ranking.  One walk of the group serves them all, and each
+    # decides as its single scan does.
     rng = np.random.default_rng(17)
     x = rng.integers(-1, 3, size=(5, 5, 2)).astype(float)
     ys = _partners(rng, x, 5, 2)
-    bounds = [orbits._integral(x, y) for y in ys]
+    bounds = [orbits._integral_many(x, y[None])[0] for y in ys]
     assert bounds[0] < 2**24 <= bounds[1] < 2**53
     assert bounds[2:4] == [None, None] and bounds[-1] is None
     assert orbits._integral_many(x, np.stack(ys)) == bounds
+    single = [orbits.min_sq_over_group(x, y) for y in ys]
+    walks = []
+    real = orbits.iter_permutation_blocks
+    monkeypatch.setattr(orbits, "iter_permutation_blocks", lambda m: walks.append(m) or real(m))
+    assert _many_bits(orbits._min_sq_many(x, ys)) == _many_bits(single)
+    assert walks == [5]
 
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_twenty_five_partners_take_two_passes(n, monkeypatch):
     # At n <= 7 a pass totals up to 24 (partner, block) columns, one block
-    # each; a 25th partner of the same table dtype takes a second pass.
+    # each; a 25th partner takes a second pass.
     walks = []
     real = orbits.iter_permutation_blocks
 

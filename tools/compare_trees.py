@@ -10,9 +10,13 @@ over six input families (Gaussian, small integers with ties, unit-labelled
 cycles and stars, graphs padded up to a fixed order, relabelled copies, and
 integers at the edge of the engine's exactness certificate, plus 1e160- and
 0.1-scaled copies), integers on both sides of the float32 certificate
-N (max|x| + max|y|)^2 < 2^24, and Gaussian near-ties scaled just inside and
-just outside both edges of the float32 ranking window
-2^-100 < (||x|| + ||y||)^2 < 2^100.  Padded pairs also come with the smaller
+N (max|x| + max|y|)^2 < 2^24, Gaussian near-ties scaled so that
+(||x|| + ||y||)^2 lies just inside and just outside 2^-100 and 2^100, and
+near-ties with cells near 1e-160 and 1e-162, whose squares underflow.
+Order-3 pairs with d = 116508 and 116509 put N + 3 = 9 d + 3 just under
+and just over 2^20, where inner products switch from float32 to float64
+totals, as Gaussian near-ties and as small integers on both sides of
+2^24.  Padded pairs also come with the smaller
 graph first (orders 8 and 9), scaled by 1e160, and with a negative y-node
 that compact bijections may not route through padding, at unit scale and
 scaled so that 4 R^2 overflows; at order 9 that pair leaves a whole chunk
@@ -34,9 +38,10 @@ greedy bounds, ``gram --order N+1`` and ``gram --pad pairwise-sum``, and the
 stdout and exit code of ``align`` and ``mean`` on one seeded set), and pass an
 order below a graph's or above the guard, where only the error's type is
 compared.  Fréchet means of larger batches mix members of every scan path
-(integers on both sides of the float32 certificate, Gaussians, the edges of
-the ranking window, 1e160-scaled and padded members, unit stars): 8 members
-at order 7, 25 at orders 3-5 and 3 at orders 8 and 9.  The graph layer is
+(integers on both sides of the float32 certificate, Gaussians, norms near
+2^50 and 2^-51, cells near 1e-160 and 1e-162 beside unit-scale members,
+1e160-scaled and padded members, unit stars): 8 members at order 7, 25 at
+orders 3-5 and 3 at orders 8 and 9.  The graph layer is
 compared on its own: JSON round trips of directed and undirected graphs whose
 edges are listed forward, backward, mixed or in both orientations; their
 matrices, edge listings, ``edge_attr`` and ``has_edge`` lookups in both
@@ -143,7 +148,7 @@ def _pairs(n, d):
         y.flat[rng.integers(y.size)] = -m
         out.append((f"int24-{side}", x, y, n))
     # Gaussian near-ties scaled to R^2 = (||x|| + ||y||)^2 just inside and
-    # just outside each edge of the float32 ranking window (2^-100, 2^100)
+    # just outside 2^-100 and 2^100
     for side, r2 in (("low-in", 2.0**-100 * 1.001), ("low-out", 2.0**-100 / 1.001),
                      ("high-in", 2.0**100 / 1.001), ("high-out", 2.0**100 * 1.001)):
         x = rng.normal(size=(n, n, d))
@@ -151,6 +156,14 @@ def _pairs(n, d):
         y = x[np.ix_(p, p)] + 1e-13 * rng.normal(size=x.shape)
         scale = math.sqrt(r2) / (np.linalg.norm(x) + np.linalg.norm(y))
         out.append((f"window-{side}", x * scale, y * scale, n))
+    # the same near-ties with cells near 1e-160, where the reference forms'
+    # underflow term still leaves a ranking, and near 1e-162, where squares
+    # underflow and every row is re-scored
+    for scale in (1e-160, 1e-162):
+        x = rng.normal(size=(n, n, d))
+        p = rng.permutation(n)
+        y = x[np.ix_(p, p)] + 1e-13 * rng.normal(size=x.shape)
+        out.append((f"tiny-{scale:.0e}", x * scale, y * scale, n))
     if n >= 8:  # padded with the smaller graph first (rx < ry)
         x, y = rng.normal(size=(2, n, n, d))
         out.append(("padded-up", x[: n - 3, : n - 3], y[: n - 2, : n - 2], n))
@@ -245,6 +258,7 @@ def _cases(gs):
                            lambda: gs.sample_mean([x, y, gs.scalar_mult(0.5, x)], max_iter=5))
                 yield from _padding_cases(gs, tag, x, y, order)
     yield from _symmetric_cases(gs)
+    yield from _wide_cases(gs)
     yield from _mean_cases(gs)
     yield from _graph_cases(gs)
 
@@ -271,6 +285,29 @@ def _symmetric_cases(gs):
                 for h in (g, other):  # ties within the orbit, and across shapes
                     yield (f"{tag} general_ged {kind} {'self' if h is g else 'other'}",
                            lambda g=g, h=h, c=gs.EditCost.custom(fn): gs.general_ged(g, h, c))
+
+
+def _wide_cases(gs):
+    """Order-3 pairs with N + 3 = 9 d + 3 just under 2^20 (d = 116508, float32
+    totals) and just over it (d = 116509, float64 totals): Gaussian
+    near-ties, and small integers whose N (max|x| + max|y|)^2 is just under
+    and just over 2^24 on the same two sides."""
+    rng = np.random.default_rng(116508)
+    for d in (116508, 116509):
+        x = rng.normal(size=(3, 3, d))
+        p = rng.permutation(3)
+        gauss = (x, x[np.ix_(p, p)] + 1e-13 * rng.normal(size=x.shape))
+        ints = rng.integers(-1, 3, size=(2, 3, 3, d)).astype(float)
+        ints[:, 0, 0, 0] = 2.0
+        for family, (xc, yc) in (("gauss", gauss), ("int", ints)):
+            tag = f"n=3 d={d} wide-{family}"
+            yield (f"{tag} quotient_distance",
+                   lambda xc=xc, yc=yc: gs.quotient_distance(gs.GraphMatrix(xc),
+                                                             gs.GraphMatrix(yc)))
+            for skip in (False, True):
+                yield (f"{tag} max_inner_over_group skip_identity={skip}",
+                       lambda xc=xc, yc=yc, s=skip: gs.orbits.max_inner_over_group(
+                           xc, yc, skip_identity=s))
 
 
 def _alignment_cases(gs, tag, x, y, ym, order):
@@ -310,11 +347,11 @@ def _padding_cases(gs, tag, x, y, order):
 def _member(rng, n, d, kind):
     """(n, n, d) cells of one sample-mean member.  Scans of two members take
     every path: integers certified in float32 ("int" with "int") and only in
-    float64 ("int" with "int-big"), Gaussians ranked in float32, members
-    just inside and just outside both ends of the float32 window (two
-    "high" members, or two "low" ones, rank across their edge; a "high"
-    one beside a Gaussian ranks inside), and a 1e160-scaled member, whose
-    4 R^2 overflows against any partner."""
+    float64 ("int" with "int-big"), Gaussians, members with norms near 2^50
+    and 2^-51 ("high" and "low"), so that (||x|| + ||y||)^2 of their scans
+    straddles 2^100 and 2^-100, members with cells near 1e-160 and 1e-162,
+    whose scans against each other underflow, and a 1e160-scaled member,
+    whose 4 R^2 overflows against any partner."""
     if kind == "int":
         return rng.integers(-1, 3, size=(n, n, d)).astype(float)
     if kind == "int-big":  # N (max|x| + m)^2 over 2^24 against small integers
@@ -322,6 +359,8 @@ def _member(rng, n, d, kind):
         return rng.integers(-m, m + 1, size=(n, n, d)).astype(float)
     if kind == "huge":
         return rng.integers(0, 3, size=(n, n, d)) * 1e160
+    if kind in ("tiny-160", "tiny-162"):  # scans of two such members underflow
+        return rng.normal(size=(n, n, d)) * float(f"1e-{kind[-3:]}")
     if kind == "star":
         return _cells(rng, n, d, "unit", 1)
     if kind == "padded":  # two null nodes, which the mean pads back
@@ -348,6 +387,8 @@ _MEAN_MIXES = (
     (8, 2, ("int", "int-big", "high-in")),
     (9, 1, ("gauss", "int", "padded")),
     (9, 1, ("int", "int-big", "int")),
+    (7, 1, ("gauss", "tiny-160", "tiny-162", "int", "tiny-160", "star", "tiny-162", "gauss")),
+    (5, 2, ("tiny-160", "tiny-162", "gauss", "high-in", "low-out", "int") * 4 + ("tiny-162",)),
 )
 
 
