@@ -157,7 +157,7 @@ def midpoint(
     """
     if x.directed != y.directed:
         raise ValueError("midpoint requires a common directedness")
-    xm, ym = _prepare(x, y, "bound", order, guard)
+    xm, ym, _ = _prepare(x, y, "bound", order, guard)
     aligned = apply_action(min_sq_over_group(xm.cells, ym.cells).witness, ym)
     return _graph_of((xm.cells + aligned.cells) / 2.0, x.directed)
 

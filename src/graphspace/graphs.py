@@ -238,7 +238,8 @@ class GraphMatrix:
         )
 
     def __hash__(self) -> int:
-        return hash((self.cells.shape, self.to_bytes()))
+        # -0.0 == 0.0, so equal matrices hash alike only with -0.0 read as 0.0
+        return hash((self.cells.shape, (self.cells + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         return f"GraphMatrix(n={self.n}, dim={self.dim})"

@@ -11,8 +11,13 @@ orbit semantics) and ``"compact"`` (every real node of the smaller graph must
 map to a real node of the larger one).  With componentwise nonnegative
 attributes the two optima agree; for sign-indefinite attributes routing a
 real node through padding can win, and the test suites measure that gap
-rather than assuming it away.  A class is the images each y-node may take
-(``_allowed``), which the scans write into their cell-pair tables.
+rather than assuming it away.
+
+Padding beyond the larger graph adds only null nodes, so a compact
+bijection at padded order n scores as one of the full group at the larger
+graph's order m, extended by the identity on m..n-1, and the lex-smallest
+optimum is such an extension.  A compact call therefore checks the order
+guard at n and scans the full group at order m (``_prepare``).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .orbits import (
     DEFAULT_ORDER_GUARD,
     Permutation,
     Witnessed,
+    _cell_order,
     apply_action,
     check_order_guard,
     gather,
@@ -149,9 +155,8 @@ def _score_table(x: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
 def _cost_table(x: np.ndarray, y: np.ndarray, cost: EditCost) -> np.ndarray:
     """The cell-pair table of a Python cost: n**4 calls, one per cell pair.
 
-    A cost of NaN has no place in a minimum, and one of -inf would sum to
-    NaN with the inf that excludes a row from a compact scan
-    (``orbits._penalised``), so either is rejected with its cells.
+    A cost of NaN has no place in a minimum, and an inf and a -inf cost in
+    one row would total NaN, so either is rejected with its cells.
     """
     n, d = x.shape[0], x.shape[2]
     ys = [tuple(c) for c in y.reshape(n * n, d)]
@@ -166,20 +171,6 @@ def _cost_table(x: np.ndarray, y: np.ndarray, cost: EditCost) -> np.ndarray:
 def _check_morphisms(morphisms: str) -> None:
     if morphisms not in MORPHISM_CLASSES:
         raise ValueError(f"unknown morphism class {morphisms!r}")
-
-
-def _allowed(rx: int, ry: int, morphisms: str, n: int) -> np.ndarray | None:
-    """allowed[k, v]: may y-node k take x-node v (p sends x-node p[k] to
-    y-node k) at padded order n?  None for the full group: "all", and
-    "compact" when the larger graph has no padding to route a real node
-    through; else compactness pins the smaller graph's real nodes onto the
-    larger graph's."""
-    if morphisms == "all" or max(rx, ry) == n:
-        return None
-    k, v = np.ogrid[:n, :n]
-    if rx <= ry:
-        return (k < ry) | (v >= rx)
-    return (k >= ry) | (v < rx)
 
 
 def transformation_score(
@@ -221,10 +212,21 @@ def _prepare(
     padding: str,
     order: int | None,
     guard: int,
-) -> tuple[GraphMatrix, GraphMatrix]:
+    morphisms: str = "all",
+) -> tuple[GraphMatrix, GraphMatrix, int]:
+    """The matrices of x and y at the order m a scan over the class runs
+    at, and the padded order n, which the guard checks first: m = n for
+    the full group, the larger graph's order for compact maps."""
     n = padded_order((x, y), padding, order)
     check_order_guard(n, guard)
-    return to_matrix(x, n), to_matrix(y, n)
+    m = max(x.order, y.order) if morphisms == "compact" else n
+    return to_matrix(x, m), to_matrix(y, m), n
+
+
+def _extended(res: Witnessed, n: int) -> Witnessed:
+    """res with its witness extended by the identity up to order n."""
+    images = res.witness.images
+    return Witnessed(res.value, Permutation(images + tuple(range(len(images), n))))
 
 
 def edit_kernel(
@@ -244,12 +246,10 @@ def edit_kernel(
     the lexicographically smallest maximizer.
     """
     _check_morphisms(morphisms)
-    xm, ym = _prepare(x, y, padding, order, guard)
-    allowed = _allowed(x.order, y.order, morphisms, xm.n)
+    xm, ym, n = _prepare(x, y, padding, order, guard, morphisms)
     if score.kind == "dot":
-        return max_inner_over_group(xm.cells, ym.cells, allowed)
-    table = _score_table(xm.cells, ym.cells, score.kind)
-    return optimum(table, maximize=True, allowed=allowed)
+        return _extended(max_inner_over_group(xm.cells, ym.cells), n)
+    return _extended(optimum(_score_table(xm.cells, ym.cells, score.kind), maximize=True), n)
 
 
 def general_ged(
@@ -267,17 +267,25 @@ def general_ged(
     Other costs are totalled through their cell-pair table (``optimum``).
     A custom cost is called once per pair of cells (n**4 calls); a total
     adds its cells in (k, l) order, as ``transformation_cost`` does, and
-    the prefix tree's totals only rank the rows.
+    the prefix tree's totals only rank the rows.  Its table is built at the
+    padded order n; a compact scan ranks the order-m block, and since
+    cost(0, 0) need not be 0, the extended witness is totalled at order n.
+    When that total is inf, every row's is, and the identity wins the tie.
     """
     _check_morphisms(morphisms)
-    xm, ym = _prepare(x, y, padding, order, guard)
-    allowed = _allowed(x.order, y.order, morphisms, xm.n)
+    xm, ym, n = _prepare(x, y, padding, order, guard, morphisms)
     if cost.kind == "kernel-dot":
-        return min_sq_over_group(xm.cells, ym.cells, allowed)
-    if cost.kind == "custom":
-        return optimum(_cost_table(xm.cells, ym.cells, cost), allowed=allowed)
-    table = _score_table(xm.cells, ym.cells, _COST_KINDS[cost.kind])
-    return optimum(table, allowed=allowed)
+        return _extended(min_sq_over_group(xm.cells, ym.cells), n)
+    if cost.kind != "custom":
+        return _extended(optimum(_score_table(xm.cells, ym.cells, _COST_KINDS[cost.kind])), n)
+    m = xm.n
+    table = _cost_table(to_matrix(x, n).cells, to_matrix(y, n).cells, cost)
+    block = table.reshape(n, n, n, n)[:m, :m, :m, :m].reshape(m, m, m * m)
+    images = _extended(optimum(block), n).witness.images
+    [total] = _cell_order(table, np.array([images], dtype=np.intp).reshape(1, n)).tolist()
+    if total == math.inf:  # every row totals inf (cost(0, 0) may be): the first wins
+        images = tuple(range(n))
+    return Witnessed(total, Permutation(images))
 
 
 def induced_metric(
@@ -337,7 +345,7 @@ def mcs_kernel(
     kernel value counts ordered pairs: nodes + 2*edges for undirected input.
     """
     # at the larger graph's order every bijection is compact: the full group
-    xm, ym = _prepare(x, y, "bound", None, guard)
+    xm, ym, _ = _prepare(x, y, "bound", None, guard)
     res = optimum(_score_table(xm.cells, ym.cells, "delta"), maximize=True)
     g = gather(xm.cells, np.asarray([res.witness.images], dtype=np.intp))[0]
     matched = _cell_scores(g, ym.cells, "delta")

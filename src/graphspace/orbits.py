@@ -42,11 +42,6 @@ The scan is memory-bounded and never materialises the whole group:
   (24 at n <= 7, 3 at n = 8, 1 at n = 9).  Each partner keeps its own
   certificate, scale, eps, shortlist and witness (``_inner_scan``), so its
   value and witness are those of a scan of its pair alone.
-* Classes as table entries.  A class that allows position k the images
-  v with allowed[k, v] (the compact maps of ``kernels``) is written into
-  the table, as forbidden assignments are in a Lawler cost matrix: each
-  row outside it totals the worst value (``_penalised``).  The identity
-  is every scan's first row, so a scan without it starts at the second.
 * Folded tables.  Because block t is sigma composed with ``base``, a chunk
   relabels the table by all its sigmas at once,
   ``table[sigmas[:, :, None], sigmas[:, None, :]]``, and folds each copy
@@ -68,10 +63,10 @@ The scan is memory-bounded and never materialises the whole group:
   column per (partner, block), and one row of offsets reads that entry
   for every node of every column at once.
 * Memory.  A scan holds its tables, n**4 * 8 bytes per partner (52 KB at
-  n = 9), and their signed and penalised copies, per chunk the relabelled
-  tables of its columns (1.3 MB for 24 at n = 9), and the rows it re-scores
-  in parts of _RESCORE_CELLS cells (324 KiB in float64) whatever d, or of
-  two rows where a row holds more.  A chunk of several columns totals into
+  n = 9), and their signed copies, per chunk the relabelled tables of its
+  columns (1.3 MB for 24 at n = 9), and the rows it re-scores in parts of
+  _RESCORE_CELLS cells (324 KiB in float64) whatever d, or of two rows
+  where a row holds more.  A chunk of several columns totals into
   buffers of its thread, which every later chunk and scan on that thread
   reuses (``_reused``), so the totals allocate nothing once the thread has
   totalled a chunk as large: the entries by offset, two levels of node
@@ -485,21 +480,6 @@ def _chunks(n: int, skip_identity: bool = False) -> Iterator[_Chunk]:
             yield chunk
 
 
-def _penalised(table: np.ndarray, allowed: np.ndarray | None, worst: float) -> np.ndarray:
-    """A copy of the table, float32 if boolean or integer, in which every row
-    p with some not allowed[k, p_k] totals ``worst`` (an infinity): the total
-    adds the entry table[p_k, p_k, k*n + k], and the table holds no opposite
-    infinity (``kernels._cost_table`` rejects a cost of -inf).  The table
-    itself when ``allowed`` is None.  A (P, n, n, n*n) stack of tables is
-    penalised table by table."""
-    if allowed is None:
-        return table
-    table = table.astype(np.float32 if table.dtype.kind in "biu" else table.dtype)
-    k, v = np.nonzero(~allowed)
-    table[..., v, v, k * (len(allowed) + 1)] = worst  # cell (k, k) of y, in every table
-    return table
-
-
 def orbit(x: GraphMatrix, guard: int = DEFAULT_ORDER_GUARD) -> Orbit:
     """Enumerate the orbit of x with exact (bitwise) deduplication."""
     check_order_guard(x.n, guard)
@@ -554,22 +534,14 @@ class Witnessed(NamedTuple):
     witness: Permutation
 
 
-def optimum(
-    table: np.ndarray,
-    maximize: bool = False,
-    allowed: np.ndarray | None = None,
-    skip_identity: bool = False,
-) -> Witnessed:
-    """Best total over a class of permutations p, and the first p reaching it.
+def optimum(table: np.ndarray, maximize: bool = False, skip_identity: bool = False) -> Witnessed:
+    """Best total over the permutations p, and the first p reaching it.
 
     ``table`` is an (n, n, n*n) cell-pair table; the total of p is the sum
     over cells k = (i, j) of table[p_i, p_j, k]; the value is a Python
-    float.  The class is every p with allowed[k, p_k] at every k (every p if
-    ``allowed`` is None), less the identity if ``skip_identity``.
-    ``allowed`` must admit the identity, the first row, so that it wins a
-    tie at the worst value, the total of every row outside the class.
+    float.  The rows are every p, less the identity if ``skip_identity``.
     Ties break toward the lexicographically smallest permutation.  The
-    witness is None only for an empty class (``skip_identity`` at n <= 1),
+    witness is None only when no row is left (``skip_identity`` at n <= 1),
     with the value -inf when maximizing and inf when minimizing.
 
     The table's dtype decides how (``_pass``).  Boolean and integer totals
@@ -589,11 +561,10 @@ def optimum(
     fl(fl(max) - fl(eps)) adds at most u (N M (1 + gamma_N) + 2.01 eps),
     and eps = 3 N^2 u M covers both while (N + 1) u < 0.01 (at n = 1 the
     one row needs none).  When 2 N M overflows, partial sums may: then
-    every row of the class is re-scored.  A row with an infinite entry
-    totals inf in every order; when every row of the class does, the first
-    wins, as above.  A minimum is the maximum of the negated table, negation
-    being exact in every sum, and 0.0 - best restores the sign without a
-    -0.0.
+    every row is re-scored.  A row with an infinite entry totals inf in
+    every order; when every row does, the first wins.  A minimum is the
+    maximum of the negated table, negation being exact in every sum, and
+    0.0 - best restores the sign without a -0.0.
     """
     n = table.shape[0]
     table = table * (1 if maximize else -1)
@@ -601,39 +572,33 @@ def optimum(
     if table.dtype.kind == "f":
         reach = n * n * float(np.abs(table[np.isfinite(table)]).max(initial=0.0))
         eps = 3.0 * n * n * 2.0**-53 * reach
-        if not math.isfinite(2.0 * reach):  # every row of the class ties at 0
+        if not math.isfinite(2.0 * reach):  # every row ties at 0
             rank, eps = np.zeros_like(table), 0.0
-    [(best, witness)] = _pass(_penalised(rank, allowed, -math.inf)[None], [eps], skip_identity,
-                              n * n, lambda q, chunk, rows: _cell_order(table, chunk.perms(rows)))
+    [(best, witness)] = _pass(rank[None], [eps], skip_identity, n * n,
+                              lambda q, chunk, rows: _cell_order(table, chunk.perms(rows)))
     if witness is None and (first := next(_chunks(n, skip_identity), None)):
-        witness = first.permutation(0)  # every row of the class totals -inf
+        witness = first.permutation(0)  # every row totals -inf
     return Witnessed(best if maximize else 0.0 - best, witness)
 
 
-def _integral_many(x: np.ndarray, ys: np.ndarray) -> list[int | None]:
-    """Per partner ys[q] of a (P, n, n, d) stack, N (max|x| + max|y|)^2
-    when x and y = ys[q] hold integers and it is below 2^53, else None.
-    Below 2^b, every sum of products or squared differences of their cells,
-    in any order, is exact in a float format with a b-bit significand (53
-    in float64, 24 in float32)."""
+def _integral_many(x: np.ndarray, ys: np.ndarray) -> list[bool]:
+    """Per partner ys[q] of a (P, n, n, d) stack, whether x and y = ys[q]
+    hold integers with N (max|x| + max|y|)^2 < 2^24: then every sum of
+    products or squared differences of their cells, in any order, is exact
+    in float32."""
     if not np.array_equal(x, np.trunc(x)):
-        return [None] * len(ys)
-    top = np.abs(x).max(initial=0.0)
-    out = []
-    for y in ys:
-        s = float(top + np.abs(y).max(initial=0.0))
-        # s < 2^27 bounds s before squaring; false for inf and nan
-        whole = s < 2.0**27 and np.array_equal(y, np.trunc(y))
-        bound = x.size * int(s) ** 2 if whole else 2**53
-        out.append(bound if bound < 2**53 else None)
-    return out
+        return [False] * len(ys)
+    top = float(np.abs(x).max(initial=0.0))
+    tops = np.abs(ys).max(axis=(1, 2, 3), initial=0.0).tolist()
+    whole = np.all(ys == np.trunc(ys), axis=(1, 2, 3)).tolist()
+    # Python floats: a sum or product past the largest float is inf, unwarned
+    return [w and x.size * (top + t) * (top + t) < 2**24 for w, t in zip(whole, tops)]
 
 
 def _near_best(ip: np.ndarray, eps: np.ndarray) -> list[np.ndarray]:
     """Per row of a (P, rows) array of totals, the rows at or above the
     threshold fl(fl(max) - fl(eps)) of the row's eps, all in ip's dtype;
-    none where the max is -inf (every row is outside the class or totals
-    -inf)."""
+    none where the max is -inf (every row totals -inf)."""
     top = ip.max(axis=1)
     keep = ip >= (top - eps)[:, None]
     return [np.flatnonzero(k) if t > -math.inf else np.empty(0, np.intp)
@@ -710,21 +675,17 @@ def _pass(
 
 
 def _inner_scan(
-    x: np.ndarray,
-    ys: np.ndarray,
-    allowed: np.ndarray | None,
-    skip_identity: bool,
-    metric: bool,
+    x: np.ndarray, ys: np.ndarray, skip_identity: bool, metric: bool
 ) -> list[Witnessed]:
     """``min_sq_over_group`` if metric, else ``max_inner_over_group``, of x
     against each partner ys[q] of a (P, n, n, d) stack, one result each.
 
     Every partner decides as a scan of its own pair would.  Where
-    ``_integral_many`` bounds its sums below 2^24, its table inner products
-    <g, y> are exact, in float32 too, and its first best total decides;
+    ``_integral_many`` certifies it, its table inner products <g, y> are
+    exact, in float32 too, and its first best total decides;
     ||x||^2 + ||y||^2 - 2<g, y> is then exact too and strictly decreasing in
-    <g, y>.  When 4 R^2 overflows, no sum ranks the rows: every row of the
-    class totals 0 and is re-scored.  Otherwise its table holds the inner
+    <g, y>.  When 4 R^2 overflows, no sum ranks the rows: every row totals
+    0 and is re-scored.  Otherwise its table holds the inner
     products of 2^k x and 2^k y, which rank the rows as <g, y> does, and
     each chunk's shortlist is re-scored in the reference form on the
     unscaled cells (``min_sq_over_group``).  Totals are float32, or float64
@@ -734,7 +695,7 @@ def _inner_scan(
     n, d = x.shape[0], x.shape[2]
     terms = x.size + 3
     dtype, u = (np.float32, 2.0**-24) if terms < 2**20 else (np.float64, 2.0**-53)
-    exact = [b is not None and b < 2**24 for b in _integral_many(x, ys)]
+    exact = _integral_many(x, ys)
     # 2^k takes the largest |cell| of x and a ranked partner into [1/2, 1);
     # xx and yy are their squared norms in that frame
     top = np.abs(ys).max(axis=(1, 2, 3), initial=np.abs(x).max(initial=0.0)).tolist()
@@ -745,7 +706,7 @@ def _inner_scan(
     xx, yy = np.einsum("qkc,qkc->q", xs, xs).tolist(), np.einsum("qkc,qkc->q", ws, ws).tolist()
     # eps in the scaled frame: None for exact totals, 0.0 where 4 R^2
     # overflows unscaled (or a cell is not finite), and a second term that
-    # stops at 4 (N + 3) > R^2, which keeps every row of the class
+    # stops at 4 (N + 3) > R^2, which keeps every row
     eps: list[float | None] = []
     for e, kq, a, b in zip(exact, k, xx, yy):
         r2 = (math.sqrt(a) + math.sqrt(b)) ** 2
@@ -758,9 +719,7 @@ def _inner_scan(
         xs, ws = np.where(keep, xs, 0.0), np.where(keep, ws, 0.0)
     # The inner products as a matrix product: finite, |<g, y>| <= R^2 / 4,
     # and exact where eps is None
-    table = xs @ ws.transpose(0, 2, 1)
-    table = _penalised(table.reshape(len(ys), n, n, n * n).astype(dtype, copy=False),
-                       allowed, -math.inf)
+    table = (xs @ ws.transpose(0, 2, 1)).reshape(len(ys), n, n, n * n).astype(dtype, copy=False)
     blocks = min(_CHUNK, math.factorial(n) // math.factorial(min(n, _FREE)))
     per_pass = max(1, _CHUNK // blocks)
     form = _diff_form if metric else _dot_form
@@ -779,44 +738,33 @@ def _inner_scan(
 def _min_sq_many(x: np.ndarray, ys) -> list[Witnessed]:
     """``[min_sq_over_group(x, y) for y in ys]``, in passes that total x
     against many partners at once (``_inner_scan``)."""
-    return _inner_scan(x, np.asarray(ys), None, False, metric=True)
+    return _inner_scan(x, np.asarray(ys), False, metric=True)
 
 
-def max_inner_over_group(
-    x: np.ndarray,
-    y: np.ndarray,
-    allowed: np.ndarray | None = None,
-    skip_identity: bool = False,
-) -> Witnessed:
+def max_inner_over_group(x: np.ndarray, y: np.ndarray, skip_identity: bool = False) -> Witnessed:
     """max over permutations p of <x[ix_(p,p)], y>, with the first maximizer.
 
-    The dot edit kernel; ``allowed`` and ``skip_identity`` restrict p as
-    in ``optimum``.  Values and witnesses are those of scoring every row g
-    of the class in the reference form ``einsum("mijc,ijc->m", g, y)``;
-    that form decides among the rows the table ranks near each chunk's best
-    (``_inner_scan``; the bound is derived in ``min_sq_over_group``),
-    _RESCORE_CELLS cells at a time.  With an empty class the value is -inf
-    and the witness None.
+    The dot edit kernel; ``skip_identity`` leaves the identity out, as in
+    ``optimum``.  Values and witnesses are those of scoring every row g in
+    the reference form ``einsum("mijc,ijc->m", g, y)``; that form decides
+    among the rows the table ranks near each chunk's best (``_inner_scan``;
+    the bound is derived in ``min_sq_over_group``), _RESCORE_CELLS cells at
+    a time.  With no row left the value is -inf and the witness None.
     """
-    return _inner_scan(x, y[None], allowed, skip_identity, metric=False)[0]
+    return _inner_scan(x, y[None], skip_identity, metric=False)[0]
 
 
-def min_sq_over_group(
-    x: np.ndarray,
-    y: np.ndarray,
-    allowed: np.ndarray | None = None,
-    skip_identity: bool = False,
-) -> Witnessed:
+def min_sq_over_group(x: np.ndarray, y: np.ndarray, skip_identity: bool = False) -> Witnessed:
     """min over permutations p of ||x[ix_(p,p)] - y||^2, with the first minimizer.
 
     Equals min over gamma of ||x - gamma y||^2 where gamma has images p; the
-    one implementation of the quotient metric.  ``allowed`` and
-    ``skip_identity`` restrict p as in ``optimum``; with an empty class the
-    value is inf and the witness None.
+    one implementation of the quotient metric.  ``skip_identity`` leaves the
+    identity out, as in ``optimum``; with no row left the value is inf and
+    the witness None.
 
-    Values and witnesses are those of scoring every row g of the class in the
-    diff form fl(sum (g - y)^2); that form alone is evaluated on the rows
-    that can win, which keeps exact zeros for isomorphic pairs.  Each chunk
+    Values and witnesses are those of scoring every row g in the diff form
+    fl(sum (g - y)^2); that form alone is evaluated on the rows that can
+    win, which keeps exact zeros for isomorphic pairs.  Each chunk
     is first ranked by its table totals T(g), and only the rows within eps
     of the chunk's largest one are re-scored, _RESCORE_CELLS cells at a
     time, so a chunk of ties gathers no full block.
@@ -856,17 +804,15 @@ def min_sq_over_group(
     by more than 2 N u R^2 >= N u / 2, far above 2a, and also absorbs the
     rounding of the norms; the second exceeds s^2 N 2^-1074 sixteenfold.
     Where the second term would pass 4 (N + 3) it stops there: eps then
-    exceeds R^2 and keeps every row of the class, while the rows outside
-    the class, at -inf, stay out.  No total
-    overflows: every partial sum is at most (1 + gamma_(N+1)) R^2 / 4 < 2N
-    in magnitude.  The bounds assume that no reference sum overflows, which
-    holds while 4 (||x|| + ||y||)^2 is finite; beyond that (or with
-    non-finite attributes) every row is re-scored.  When
-    ``_integral_many`` bounds x and y below 2^24, the table is unscaled, its
-    totals and ||x||^2 + ||y||^2 - 2<g, y> are exact and equal to the diff
-    form, and no row is re-scored.
+    exceeds R^2 and keeps every row.  No total overflows: every partial sum
+    is at most (1 + gamma_(N+1)) R^2 / 4 < 2N in magnitude.  The bounds
+    assume that no reference sum overflows, which holds while
+    4 (||x|| + ||y||)^2 is finite; beyond that (or with non-finite
+    attributes) every row is re-scored.  When ``_integral_many`` certifies
+    x and y, the table is unscaled, its totals and ||x||^2 + ||y||^2 -
+    2<g, y> are exact and equal to the diff form, and no row is re-scored.
     """
-    return _inner_scan(x, y[None], allowed, skip_identity, metric=True)[0]
+    return _inner_scan(x, y[None], skip_identity, metric=True)[0]
 
 
 def quotient_distance(

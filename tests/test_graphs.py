@@ -216,3 +216,14 @@ def test_graphs_share_their_edge_keys():
     keys = [{k: k for k in g._edges} for g in graphs]
     assert keys[0].keys() == keys[1].keys() == keys[3].keys()
     assert all(keys[0][k] is other[k] for other in keys[1:] for k in keys[0])
+
+
+def test_equal_matrices_hash_alike_across_signed_zeros():
+    # -0.0 == 0.0, so matrices that differ only in the sign of a zero are
+    # equal, and a set or dict keeps one of them.
+    a, b = GraphMatrix([[0.0]]), GraphMatrix([[-0.0]])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    cells = np.array([[[1.0, -0.0], [0.0, 2.0]], [[-0.0, 0.0], [3.0, -0.0]]])
+    flipped = GraphMatrix(np.where(cells == 0.0, -cells, cells))
+    assert flipped == GraphMatrix(cells) and len({flipped, GraphMatrix(cells)}) == 1
+    assert np.signbit(b.cells[0, 0, 0])  # hashing reads the cells without changing them

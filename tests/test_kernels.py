@@ -218,8 +218,9 @@ def test_transformation_cost_rejects_nan_custom_cost():
 
 def test_minus_infinite_custom_cost_is_rejected():
     # A cost of -inf is rejected as NaN is, with its cells, under both
-    # classes; the padded compact scan would otherwise meet it with the inf
-    # of an excluded pair.
+    # classes: a row holding an inf and a -inf cost would total NaN.  The
+    # compact scan at the larger graph's order still builds the table at the
+    # padded order, so it names the same cells.
     x = AttributedGraph(True, 1, [(0.0,), (2.0,), (0.0,)], [((0, 1), (1.0,))])
     y = AttributedGraph(True, 1, [(1.0,), (0.0,)], [((0, 1), (3.0,))])
     minus = EditCost.custom(lambda a, b: -math.inf if a[0] > 1.5 else abs(a[0] - b[0]))
@@ -299,28 +300,3 @@ def test_greedy_bound_never_crosses_exact_values():
 def test_unknown_morphism_class_rejected():
     with pytest.raises(ValueError):
         edit_kernel(single(1), single(2), DOT, morphisms="loose")
-
-
-def test_compact_mask_matches_definition():
-    # A permutation p is in the compact class when allowed admits the image
-    # p[k] of every y-node k; _allowed is None when the class is the group.
-    from graphspace.kernels import _allowed
-    from graphspace.orbits import permutation_array
-
-    for n in range(6):
-        perms = permutation_array(n)
-        for rx in range(n + 1):
-            for ry in range(n + 1):
-                allowed = _allowed(rx, ry, "compact", n)
-                assert (allowed is None) == (max(rx, ry) == n)
-                if allowed is None:
-                    allowed = np.ones((n, n), dtype=bool)
-                mask = allowed[np.arange(n), perms].all(axis=1)
-                for p, got in zip(perms, mask):
-                    node_map = {int(p[k]): k for k in range(n)}  # x-node -> y-node
-                    if rx <= ry:
-                        expected = all(node_map[i] < ry for i in range(rx))
-                    else:
-                        expected = all(int(p[k]) < rx for k in range(ry))
-                    assert bool(got) == expected, (n, rx, ry, p)
-                assert _allowed(rx, ry, "all", n) is None

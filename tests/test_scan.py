@@ -16,6 +16,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from graphspace import (
     is_ordinary,
     isotropy_group,
     pad_to_order,
+    padded_order,
     quotient_distance,
     to_matrix,
 )
@@ -254,23 +256,6 @@ def test_blocks_concatenate_to_the_lex_ordered_group(n):
             assert np.array_equal(block, expected.reshape(len(block), n))
             offset += len(block)
     assert offset == math.factorial(n) and next(perms, None) is None
-
-
-def _classes(n):
-    """(allowed, skip_identity) of the whole group, the group without the
-    identity, and compact classes with rx < ry and with rx > ry, which
-    excludes whole blocks at n = 9."""
-    return {
-        "all": (None, False),
-        "non-identity": (None, True),
-        "compact-up": (kernels._allowed(max(n - 4, 0), max(n - 3, 0), "compact", n), False),
-        "compact-down": (kernels._allowed(max(n - 3, 0), max(n - 4, 0), "compact", n), False),
-    }
-
-
-def _admitted(allowed, p):
-    """Row mask of the permutations p that allowed admits."""
-    return np.ones(len(p), bool) if allowed is None else allowed[np.arange(p.shape[1]), p].all(1)
 
 
 @pytest.mark.parametrize("n, d", [(0, 1), (1, 2), (5, 3), (8, 2), (9, 1)])
@@ -513,52 +498,43 @@ def test_table_totals_equal_reference_totals(n, monkeypatch):
     # the float32 certificate too, so every kind is totalled from a float32
     # and a float64 table, each in its own dtype, and every integer kind
     # from its table as built (boolean or integer), in float32.
-    # A class's excluded rows total the worst value of their kind's scan,
-    # -inf for the kernels and the equality count, inf for the costs.
     monkeypatch.setattr(orbits, "_CHUNK", 5)
     rng = np.random.default_rng(100 + n)
     d = 1 + n % 2 if n < 9 else 1
     x = rng.integers(-1, 3, size=(n, n, d)).astype(float)
     y = rng.integers(-1, 3, size=(n, n, d)).astype(float)
     y[:1] = 0.0  # null cells
-    assert orbits._integral_many(x, y[None])[0] < 2**24
+    assert orbits._integral_many(x, y[None]) == [True]
     tables = {(kind, dtype): _table(kind, x, y).astype(dtype)
               for kind in TOTAL_KINDS for dtype in (np.float32, np.float64)}
     tables |= {(kind, None): _table(kind, x, y) for kind in TOTAL_KINDS if kind != "dot"}
-    worst = {kind: math.inf if kind in ("cost-delta", "uniform") else -math.inf
-             for kind in TOTAL_KINDS}
     cost = EditCost.custom(_cells_cost)
     custom = kernels._cost_table(x, y, cost) if n < 9 else None
-    for name, (allowed, skip_identity) in _classes(n).items():
-        scanned = tables if allowed is None else {
-            (kind, dtype): orbits._penalised(table, allowed, worst[kind])
-            for (kind, dtype), table in tables.items()}
+    for skip_identity in (False, True):
         for chunk in orbits._chunks(n, skip_identity):
             # a result is valid until the next totals call on the thread
-            got = {key: chunk.totals(table).copy() for key, table in scanned.items()}
+            got = {key: chunk.totals(table).copy() for key, table in tables.items()}
             for start in range(0, chunk.count, 5040):
                 which = np.arange(start, min(start + 5040, chunk.count))
-                p = chunk.perms(which)
-                g, ok = orbits.gather(x, p), _admitted(allowed, p)
+                g = orbits.gather(x, chunk.perms(which))
                 for kind, dtype in tables:
-                    ref = np.where(ok, _ref_totals(kind, g, x, y), worst[kind])
                     total = got[kind, dtype]
-                    assert total.dtype == (dtype or np.float32), (name, kind)
-                    assert np.array_equal(total[which].astype(np.float64), ref), (name, kind, dtype)
+                    assert total.dtype == (dtype or np.float32), kind
+                    assert np.array_equal(total[which].astype(np.float64),
+                                          _ref_totals(kind, g, x, y)), (skip_identity, kind, dtype)
         if custom is None:
             continue
         # a custom cost's reference total adds its cells left to right, as
         # Python's sum does; the cell-order form re-scores a row so
-        table = custom if allowed is None else orbits._penalised(custom, allowed, math.inf)
         for chunk in orbits._chunks(n, skip_identity):
             sample = np.arange(0, chunk.count, 53)
             p = chunk.perms(sample)
             ref = [float(sum(cost(tuple(row[k, l]), tuple(y[k, l]))
-                             for k in range(n) for l in range(n))) if good else math.inf
-                   for row, good in zip(orbits.gather(x, p), _admitted(allowed, p))]
-            got = orbits._cell_order(table, p)
+                             for k in range(n) for l in range(n)))
+                   for row in orbits.gather(x, p)]
+            got = orbits._cell_order(custom, p)
             assert got.dtype == np.float64
-            assert [v.hex() for v in got] == [v.hex() for v in ref], name
+            assert [v.hex() for v in got] == [v.hex() for v in ref], skip_identity
 
 
 def test_custom_cost_is_called_once_per_cell_pair():
@@ -585,10 +561,15 @@ def _inf_cost(a, b):
     return math.inf if a[0] > 1.5 and a != b else _cells_cost(a, b)
 
 
+def _null_inf_cost(a, b):
+    """Infinite where two null cells meet."""
+    return math.inf if not any(a) and not any(b) else _cells_cost(a, b)
+
+
 def test_infinite_custom_cost_ties_resolve_as_among_the_class():
-    # Rows that meet an infinite cost total inf, as do the rows a padded
-    # compact scan excludes; where every compact row totals inf, the tie
-    # resolves to the identity, the first row and a compact one.
+    # Rows that meet an infinite cost total inf; where every compact row
+    # does, the tie resolves to the identity, the first row and a compact
+    # one, which the scan at the larger graph's order extends.
     rng = np.random.default_rng(11)
     infinite = set()
     for _ in range(12):
@@ -603,6 +584,26 @@ def test_infinite_custom_cost_ties_resolve_as_among_the_class():
             assert _bits(res.value, res.witness.images) == _bits(*ref), morphisms
             infinite.add(math.isinf(res.value))
     assert infinite == {True, False}
+
+
+def test_custom_cost_infinite_on_padding_ties_at_the_identity():
+    # A cost infinite where two null cells meet, on graphs without a null
+    # cell: past the larger graph's order every row pairs null cells and
+    # totals inf, so the identity, the first row, wins, although the
+    # order-m block has a finite optimum elsewhere.
+    xc = np.random.default_rng(5).integers(1, 5, size=(3, 3, 1)).astype(float)
+    x = from_matrix(GraphMatrix(xc), directed=True)
+    y = from_matrix(GraphMatrix(xc[np.ix_([2, 0, 1], [2, 0, 1])]), directed=True)
+    cost = EditCost.custom(_null_inf_cost)
+    res = general_ged(x, y, cost, "compact")
+    assert math.isfinite(res.value) and res.witness.images != (0, 1, 2)
+    xm, ym = matrices(x, y, 5)
+    for morphisms in ("all", "compact"):
+        res = general_ged(x, y, cost, morphisms, order=5)
+        feasible = compact(3, 3) if morphisms == "compact" else None
+        ref = ref_optimum(5, custom_score(xm, ym, _null_inf_cost), False, feasible)
+        assert _bits(res.value, res.witness.images) == _bits(*ref), morphisms
+        assert (res.value, res.witness.images) == (math.inf, tuple(range(5)))
 
 
 def _tenth_cost(a, b):
@@ -716,7 +717,7 @@ def test_dot_kernel_and_metric_match_reference_at_the_certificate_boundary(n, d,
     yg = from_matrix(GraphMatrix(y), directed=True)
     xm, ym = matrices(xg, yg, n)
     if kind.endswith("24"):  # the float32 certificate holds on one side only
-        assert (orbits._integral_many(xm, ym[None])[0] < 2**24) == (kind == "under24")
+        assert orbits._integral_many(xm, ym[None]) == [kind == "under24"]
     for morphisms, feasible in (("all", None), ("compact", compact(rx, ry))):
         res = edit_kernel(xg, yg, DOT, morphisms, order=n)
         ref = ref_optimum(n, dot_form(xm, ym), True, feasible)
@@ -755,7 +756,7 @@ def test_infeasible_scan_has_no_witness(n, kind):
         if kind == "huge":
             x, y = 1e160 * x, 1e160 * y
     if n:  # an empty pair is certified
-        assert (orbits._integral_many(x, y[None])[0] is not None) == (kind == "int")
+        assert orbits._integral_many(x, y[None]) == [kind == "int"]
     assert orbits.min_sq_over_group(x, y, skip_identity=True) == (math.inf, None)
     assert orbits.max_inner_over_group(x, y, skip_identity=True) == (-math.inf, None)
     with np.errstate(over="ignore", invalid="ignore"):  # huge products overflow
@@ -807,37 +808,7 @@ def test_scans_total_in_float32_where_exact_or_ranked(monkeypatch):
     assert dtype_of(lambda: general_ged(g, h, EditCost.custom(_cells_cost))) == np.float64
 
 
-# ------------------------------------- bijection classes and memory of a scan
-
-
-def test_compact_class_without_padding_builds_no_mask(monkeypatch):
-    # When the larger graph fills the padded order, every bijection is
-    # compact, so the compact scans are the scans of the whole group and
-    # penalise no table.
-    calls = []
-    real = orbits._penalised
-
-    def counting(table, allowed, worst):
-        calls.append(allowed)
-        return real(table, allowed, worst)
-
-    monkeypatch.setattr(orbits, "_penalised", counting)
-    rng = np.random.default_rng(43)
-    for order in (3, 6, 8):
-        x = random_graph(rng, order, 2, attrs="int")
-        y = random_graph(rng, order - 2, 2)
-        for a, b in ((x, y), (y, x)):
-            assert kernels._allowed(a.order, b.order, "compact", order) is None
-            for score in (DOT, DELTA):
-                res = edit_kernel(a, b, score, "compact")
-                assert res == edit_kernel(a, b, score, "all")
-            for cost in (EditCost.uniform(), EditCost.from_kernel(DOT)):
-                assert general_ged(a, b, cost, "compact") == general_ged(a, b, cost, "all")
-        graphspace.mcs_kernel(x, y)
-    assert calls and all(allowed is None for allowed in calls)
-    calls.clear()
-    edit_kernel(x, y, DELTA, "compact", order=9)  # padding: the class applies
-    assert [allowed.shape for allowed in calls] == [(9, 9)]
+# ------------------------------------------- compact maps and memory of a scan
 
 
 def _left_to_right_tenth(xm, ym):
@@ -854,24 +825,75 @@ def _left_to_right_tenth(xm, ym):
     return score
 
 
+def cost_delta_score(xm, ym):
+    return lambda p: _ref_totals("cost-delta", permuted(xm, p), xm, ym)
+
+
+def _half_plus_abs(a, b):
+    """A custom cost with cost(0, 0) = 0.5, so padding adds to every total."""
+    return 0.5 + float(sum(abs(u - v) for u, v in zip(a, b)))
+
+
+def exact_total(kind, xm, ym, q, cost=None):
+    """The exact score of permutation q, a Fraction, from the definitions:
+    one term per cell (i, j), of x's cell at (q_i, q_j) against y's at (i, j)."""
+    n = len(ym)
+    total = Fraction(0)
+    for i in range(n):
+        for j in range(n):
+            a, b = xm[q[i], q[j]], ym[i, j]
+            fa, fb = [Fraction(float(v)) for v in a], [Fraction(float(v)) for v in b]
+            same, real_a, real_b = fa == fb, any(fa), any(fb)
+            total += {
+                "dot": lambda: sum(u * v for u, v in zip(fa, fb)),
+                "sq": lambda: sum((u - v) ** 2 for u, v in zip(fa, fb)),
+                "delta": lambda: int(same and real_b),
+                "uniform": lambda: int(not same),
+                "cost-delta": lambda: real_a + real_b - 2 * (same and real_b),
+                "custom": lambda: Fraction(cost(tuple(a), tuple(b))),
+            }[kind]()
+    return total
+
+
+def exact_optimum(n, score, exact, maximize, feasible, tol=1e-6):
+    """(exact optimum, the lex-first permutation reaching it) over the
+    feasible permutations of order n.  The float scores shortlist every row
+    within tol of their best, which holds every exact optimum while tol
+    exceeds twice their rounding error; the exact scores decide."""
+    sign = 1 if maximize else -1
+    best, short = -math.inf, []
+    perms = itertools.permutations(range(n))
+    while chunk := list(itertools.islice(perms, REF_BLOCK)):
+        p = np.array(chunk, dtype=np.intp).reshape(len(chunk), n)
+        p = p[feasible(p)]
+        vals = (sign * score(p)).tolist()
+        best = max([best, *vals])
+        short = [(v, q) for v, q in short if v >= best - tol]
+        short += [(v, tuple(q)) for v, q in zip(vals, p.tolist()) if v >= best - tol]
+    scored = [(sign * exact(q), q) for _, q in short]
+    top = max(e for e, _ in scored)
+    return sign * top, next(q for e, q in scored if e == top)
+
+
 @pytest.mark.parametrize("n", [8, 9])
 def test_compact_scans_skip_chunks_without_a_compact_row(n, monkeypatch):
     # With one block per chunk and rx > ry, every chunk whose prefix sends a
-    # y-node below ry to padding holds no compact row.  Its totals are all
-    # the worst value; a scan that shortlisted them would re-score excluded
-    # rows.  Here y-node 0 is negative and x nonnegative, so the best
-    # excluded rows send y-node 0 to padding, in those chunks, and beat
-    # every compact row.
+    # y-node below ry to padding holds no compact row.  Here y-node 0 is
+    # negative and x nonnegative, so the best rows outside the class send
+    # y-node 0 to padding, in those chunks, and beat every compact row.
+    # A compact scan walks the group at the larger graph's order m = rx
+    # instead.  Integer totals equal the compact optimum at order n bit for
+    # bit.  Gaussian ones equal the full group's at order m; the witness of
+    # the kernel and the metric is an exact optimum of the compact class at
+    # order n, and the custom cost, whose cell-order totals decide, is its
+    # compact optimum at order n.
     monkeypatch.setattr(orbits, "_CHUNK", 1)
     rng = np.random.default_rng(300 + n)
     rx, ry = n - 1, n - 4
-    def cost_delta(xm, ym):
-        return lambda p: _ref_totals("cost-delta", permuted(xm, p), xm, ym)
-
     kinds = {
         "int": [(DOT, dot_score, True), (DELTA, delta_score, True),
                 (EditCost.uniform(), uniform_score, False),
-                (EditCost.from_kernel(DELTA), cost_delta, False)],
+                (EditCost.from_kernel(DELTA), cost_delta_score, False)],
         "gauss": [(DOT, dot_form, True), (EditCost.from_kernel(DOT), diff_form, False),
                   (EditCost.custom(_tenth_cost), _left_to_right_tenth, False)],
     }
@@ -889,8 +911,128 @@ def test_compact_scans_skip_chunks_without_a_compact_row(n, monkeypatch):
                 res = edit_kernel(x, y, how, "compact", order=n)
             else:
                 res = general_ged(x, y, how, "compact", order=n)
-            ref = ref_optimum(n, ref_score(xm, ym), maximize, compact(rx, ry))
-            assert _bits(res.value, res.witness.images) == _bits(*ref), (attrs, how)
+            got = _bits(res.value, res.witness.images)
+            if attrs == "int" or how.kind == "custom":
+                ref = ref_optimum(n, ref_score(xm, ym), maximize, compact(rx, ry))
+                assert got == _bits(*ref), (attrs, how)
+            if attrs == "int":
+                continue
+            value, p = ref_optimum(rx, ref_score(*matrices(x, y, rx)), maximize)
+            assert got == _bits(value, p + tuple(range(rx, n))), how
+            if how.kind != "custom":
+                kind = "dot" if maximize else "sq"
+                exact = lambda q: exact_total(kind, xm, ym, q)  # noqa: E731
+                best, _ = exact_optimum(n, ref_score(xm, ym), exact, maximize, compact(rx, ry))
+                assert exact(res.witness.images) == best, how
+
+
+def _compact_cases():
+    """(x, y, padding, order): rx < ry, rx > ry and rx = ry, the larger
+    order m from 0 to 6, padded by an order from m to 7 and by the pairwise
+    sum, with Gaussian and small-integer attributes."""
+    rng = np.random.default_rng(59)
+    cases = []
+    for rx, ry in ((2, 4), (4, 2), (3, 3), (1, 5), (6, 1), (5, 6), (0, 0), (1, 1), (0, 2), (1, 0)):
+        for attrs in ("gauss", "int"):
+            if attrs == "gauss":
+                xc, yc = rng.normal(size=(rx, rx, 2)), rng.normal(size=(ry, ry, 2))
+            else:
+                xc, yc = (rng.integers(-1, 3, size=(r, r, 2)).astype(float) for r in (rx, ry))
+            x, y = (from_matrix(GraphMatrix(c), directed=True) for c in (xc, yc))
+            m = max(rx, ry)
+            cases += [(x, y, "bound", order) for order in sorted({m, m + 1, 7})]
+            if rx + ry <= 7:
+                cases.append((x, y, "pairwise-sum", None))
+    return cases
+
+
+COMPACT_CASES = _compact_cases()
+
+
+@pytest.mark.parametrize("k", range(len(COMPACT_CASES)))
+def test_compact_at_order_n_is_the_group_at_the_larger_order(k):
+    # Padding beyond the larger graph adds only null nodes, so a compact
+    # call at order n is the full-group call at m = max(rx, ry), bit for
+    # bit, with its witness extended by the identity on m..n-1.  A custom
+    # cost is totalled at order n, where cost(0, 0) = 0.5 adds to it.
+    x, y, padding, order = COMPACT_CASES[k]
+    n, m = padded_order((x, y), padding, order), max(x.order, y.order)
+    tail = tuple(range(m, n))
+
+    def extended(res):
+        return _bits(res.value, res.witness.images + tail)
+
+    for score in (DOT, DELTA):
+        res = edit_kernel(x, y, score, "compact", padding, order)
+        assert _bits(res.value, res.witness.images) == extended(
+            edit_kernel(x, y, score, "all", order=m)), score.kind
+    for cost in (EditCost.uniform(), EditCost.from_kernel(DELTA), EditCost.from_kernel(DOT)):
+        res = general_ged(x, y, cost, "compact", padding, order)
+        assert _bits(res.value, res.witness.images) == extended(
+            general_ged(x, y, cost, "all", order=m)), cost.kind
+    cost = EditCost.custom(_half_plus_abs)
+    res = general_ged(x, y, cost, "compact", padding, order)
+    assert res.witness.images == general_ged(x, y, cost, "all", order=m).witness.images + tail
+    xm, ym = matrices(x, y, n)
+    p = np.array([res.witness.images], dtype=np.intp).reshape(1, n)
+    total = _left_to_right(kernels._cost_table(xm, ym, cost))(p)[0]
+    assert res.value.hex() == total.hex()
+
+
+def _exact_cases():
+    """(x, y, padding, order) at padded orders n <= 5 with signed Gaussian
+    and small-integer attributes: rx < ry, rx > ry and rx = ry, padded by
+    an order and by the pairwise sum."""
+    rng = np.random.default_rng(61)
+    cases = []
+    for rx, ry, order in ((2, 3, 5), (3, 2, 5), (2, 2, 4), (1, 3, 4), (4, 1, 5), (3, 3, 5)):
+        for attrs in ("gauss", "int"):
+            if attrs == "gauss":
+                xc, yc = rng.normal(size=(rx, rx, 2)), rng.normal(size=(ry, ry, 2))
+            else:
+                xc, yc = (rng.integers(-1, 3, size=(r, r, 1)).astype(float) for r in (rx, ry))
+            x, y = (from_matrix(GraphMatrix(c), directed=True) for c in (xc, yc))
+            cases.append((attrs, x, y, "bound", order))
+            if rx + ry <= 5:
+                cases.append((attrs, x, y, "pairwise-sum", None))
+    return cases
+
+
+EXACT_CASES = _exact_cases()
+
+
+@pytest.mark.parametrize("k", range(len(EXACT_CASES)))
+def test_compact_witness_is_an_exact_optimum_of_the_class(k):
+    # The order-n compact class, enumerated with itertools and scored in
+    # exact rationals: the witness is in it and its exact score is the
+    # class's exact optimum; with integer attributes, every total is exact
+    # and the witness is the lex-first exact optimum.
+    attrs, x, y, padding, order = EXACT_CASES[k]
+    n = padded_order((x, y), padding, order)
+    xm, ym = matrices(x, y, n)
+    feasible = compact(x.order, y.order)
+    custom = EditCost.custom(_half_plus_abs)
+    calls = [
+        ("dot", dot_form, True, lambda: edit_kernel(x, y, DOT, "compact", padding, order)),
+        ("delta", delta_score, True, lambda: edit_kernel(x, y, DELTA, "compact", padding, order)),
+        ("uniform", uniform_score, False,
+         lambda: general_ged(x, y, EditCost.uniform(), "compact", padding, order)),
+        ("cost-delta", cost_delta_score, False,
+         lambda: general_ged(x, y, EditCost.from_kernel(DELTA), "compact", padding, order)),
+        ("sq", diff_form, False,
+         lambda: general_ged(x, y, EditCost.from_kernel(DOT), "compact", padding, order)),
+        ("custom", lambda a, b: custom_score(a, b, _half_plus_abs), False,
+         lambda: general_ged(x, y, custom, "compact", padding, order)),
+    ]
+    for kind, score, maximize, call in calls:
+        res = call()
+        w = np.array([res.witness.images], dtype=np.intp).reshape(1, n)
+        assert feasible(w)[0], kind
+        exact = lambda q: exact_total(kind, xm, ym, q, _half_plus_abs)  # noqa: E731
+        best, first = exact_optimum(n, score(xm, ym), exact, maximize, feasible)
+        assert exact(res.witness.images) == best, kind
+        if attrs == "int":
+            assert res.witness.images == first, kind
 
 
 def test_custom_cost_near_ties_decide_in_cell_order():
@@ -950,7 +1092,7 @@ def test_custom_cost_past_overflow_equals_cell_order(case):
     x, y = (from_matrix(GraphMatrix(c), directed=True) for c in (xc, yc))
     xm, ym = matrices(x, y, n)
     table = kernels._cost_table(xm, ym, cost)
-    assert not math.isfinite(2 * n * n * np.abs(table).max())
+    assert not math.isfinite(2.0 * n * n * float(np.abs(table).max()))
     res = general_ged(x, y, cost, morphisms)
     feasible = compact(n, len(yc)) if morphisms == "compact" else None
     ref = ref_optimum(n, _left_to_right(table), False, feasible)
@@ -1069,10 +1211,10 @@ def test_many_partner_paths_are_the_single_scans_paths(monkeypatch):
     rng = np.random.default_rng(17)
     x = rng.integers(-1, 3, size=(5, 5, 2)).astype(float)
     ys = _partners(rng, x, 5, 2)
-    bounds = [orbits._integral_many(x, y[None])[0] for y in ys]
-    assert bounds[0] < 2**24 <= bounds[1] < 2**53
-    assert bounds[2:4] == [None, None] and bounds[-1] is None
-    assert orbits._integral_many(x, np.stack(ys)) == bounds
+    # exact totals: the small integers, the relabelled copy and the star
+    exact = [True, False, False, False, True, True, False, False]
+    assert orbits._integral_many(x, np.stack(ys)) == exact
+    assert [orbits._integral_many(x, y[None])[0] for y in ys] == exact
     single = [orbits.min_sq_over_group(x, y) for y in ys]
     walks = []
     real = orbits.iter_permutation_blocks

@@ -33,6 +33,14 @@ itself and to the other shape; ties that only the last bits of a total
 separate) of order-9 unit stars and cycles and of ordinary copies of them
 are compared too; ``gram`` CSVs of both kinds, and the stdout and exit code
 of ``check`` for every suite, are compared byte for byte.
+Compact calls run on both sides of m = max(rx, ry) = n, where a compact
+class at padded order n is the full group at order m: rx < ry, rx > ry and
+rx = ry, m = 0 and m = 1, padded by an order from m to m + 3 and by the
+pairwise sum, with Gaussian and small-integer attributes, for both
+kernels, every built-in cost, the compact metric, and custom costs with
+cost(0, 0) = 0 and with 0.5 plus |a - b| on every pair; ``dist``,
+``kernel`` and ``gram`` run with ``--class compact`` and ``--order N``
+(and the pairwise sum) through the CLI, N over the guard among them.
 Padding cases pad above the inputs' order (midpoints, alignments, means,
 greedy bounds, ``gram --order N+1`` and ``gram --pad pairwise-sum``, and the
 stdout and exit code of ``align`` and ``mean`` on one seeded set), and pass an
@@ -196,6 +204,12 @@ def _inf_cost(a, b):
     return math.inf if a[0] > 1.5 else _custom_cost(a, b)
 
 
+def _half_cost(a, b):
+    """0.5 plus |a - b| on every pair: cost(0, 0) = 0.5, so padding adds to
+    every total."""
+    return 0.5 + float(sum(abs(u - v) for u, v in zip(a, b)))
+
+
 def _tenth_cost(a, b):
     """No multiple of a power of two: sums in another order than cell order
     differ in their last bits, and unit graphs tie in every bit but those."""
@@ -258,6 +272,7 @@ def _cases(gs):
                            lambda: gs.sample_mean([x, y, gs.scalar_mult(0.5, x)], max_iter=5))
                 yield from _padding_cases(gs, tag, x, y, order)
     yield from _symmetric_cases(gs)
+    yield from _compact_cases(gs)
     yield from _wide_cases(gs)
     yield from _mean_cases(gs)
     yield from _graph_cases(gs)
@@ -285,6 +300,40 @@ def _symmetric_cases(gs):
                 for h in (g, other):  # ties within the orbit, and across shapes
                     yield (f"{tag} general_ged {kind} {'self' if h is g else 'other'}",
                            lambda g=g, h=h, c=gs.EditCost.custom(fn): gs.general_ged(g, h, c))
+
+
+# (rx, ry) of compact pairs: rx < ry, rx > ry and rx = ry, and m = max(rx,
+# ry) = 0 and 1
+_COMPACT_ORDERS = ((3, 5), (5, 3), (4, 4), (2, 6), (7, 5), (0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _compact_cases(gs):
+    """Compact calls at padded orders n = m and n > m, padded by an order
+    and by the pairwise sum, with Gaussian and small-integer attributes."""
+    rng = np.random.default_rng(23)
+    for rx, ry in _COMPACT_ORDERS:
+        m = max(rx, ry)
+        for family in ("gauss", "int"):
+            x, y = (gs.from_matrix(gs.GraphMatrix(_cells(rng, r, 2, family, 0)), True)
+                    for r in (rx, ry))
+            paddings = [("bound", order) for order in sorted({m, m + 1, min(m + 3, 9)})]
+            if rx + ry <= 9:
+                paddings.append(("pairwise-sum", None))
+            for pad, order in paddings:
+                tag = f"compact rx={rx} ry={ry} {family} {pad} order={order}"
+                for score in (gs.DOT, gs.DELTA):
+                    yield (f"{tag} edit_kernel {score.kind}",
+                           lambda s=score: gs.edit_kernel(x, y, s, "compact", pad, order))
+                costs = {"uniform": gs.EditCost.uniform(),
+                         "kernel-delta": gs.EditCost.from_kernel(gs.DELTA),
+                         "kernel-dot": gs.EditCost.from_kernel(gs.DOT),
+                         "custom": gs.EditCost.custom(_custom_cost),
+                         "custom-half": gs.EditCost.custom(_half_cost)}
+                for kind, cost in costs.items():
+                    yield (f"{tag} general_ged {kind}",
+                           lambda c=cost: gs.general_ged(x, y, c, "compact", pad, order))
+                yield (f"{tag} induced_metric",
+                       lambda: gs.induced_metric(x, y, gs.DOT, pad, order, morphisms="compact"))
 
 
 def _wide_cases(gs):
@@ -501,7 +550,9 @@ def _gram_cases(gs, cli):
             for i, g in enumerate(graphs):
                 (folder / f"g{i}.json").write_text(gs.serialize_graph(g), encoding="utf-8")
             for kind in ("kernel", "distance"):
-                for flags in ([], ["--order", str(n + 1)], ["--pad", "pairwise-sum"]):
+                for flags in ([], ["--order", str(n + 1)], ["--pad", "pairwise-sum"],
+                              ["--class", "compact", "--order", str(n + 1)],
+                              ["--class", "compact", "--pad", "pairwise-sum"]):
                     out = Path(tmp, "gram.csv")
                     out.unlink(missing_ok=True)
                     code = cli.main(["gram", str(folder), "--kind", kind, *flags, "-o", str(out)])
@@ -527,6 +578,30 @@ def _align_mean_cases(gs, cli):
             yield " ".join(a for a in argv if a not in paths), [code, out.getvalue()]
 
 
+def _compact_cli_cases(gs, cli):
+    """stdout and exit code of ``dist`` and ``kernel --class compact`` on
+    pairs with rx < ry, rx > ry and rx = ry, at the larger order, above it,
+    over the guard and padded by the pairwise sum."""
+    rng = np.random.default_rng(13)
+    graphs = [gs.from_matrix(gs.GraphMatrix(_cells(rng, o, 2, family, 0)), True)
+              for o, family in ((3, "gauss"), (5, "gauss"), (5, "int"), (1, "int"))]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, g in enumerate(graphs):
+            paths.append(str(Path(tmp, f"g{i}.json")))
+            Path(paths[-1]).write_text(gs.serialize_graph(g), encoding="utf-8")
+        for a, b in ((0, 1), (1, 0), (1, 2), (3, 0), (3, 3)):
+            for flags in (["--order", "5"], ["--order", "8"], ["--order", "10"],
+                          ["--pad", "pairwise-sum"]):
+                for command in ("dist", "kernel"):
+                    argv = [command, paths[a], paths[b], "--class", "compact", *flags, "--witness"]
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                        code = cli.main(argv)
+                    label = f"{command} g{a} g{b} --class compact {' '.join(flags)} --witness"
+                    yield label, [code, out.getvalue()]
+
+
 def _check_cases(cli):
     for suite in SUITES:
         flags = [] if suite == "mcs" else ["--trials", "4", "--seed", "3"]  # mcs takes none
@@ -548,7 +623,7 @@ def emit(src: str) -> None:
             result = f"raises {type(exc).__name__}"
         print(json.dumps([label, result]), flush=True)
     for label, result in (*_gram_cases(gs, cli), *_align_mean_cases(gs, cli),
-                          *_check_cases(cli)):
+                          *_compact_cli_cases(gs, cli), *_check_cases(cli)):
         print(json.dumps([label, result]), flush=True)
 
 
