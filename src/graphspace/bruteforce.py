@@ -19,7 +19,6 @@ from .orbits import (
     DEFAULT_ORDER_GUARD,
     check_order_guard,
     gather,
-    min_sq_over_group,
     permutation_array,
 )
 
@@ -104,9 +103,10 @@ def exhaustive_mean_optimum(
 
     Each combination assigns one orbit representation to every input graph;
     the arithmetic average of those representations is a candidate mean and
-    its true summed squared distance is evaluated.  The minimum over all
-    combinations is the global optimum of the sample-mean objective at this
-    padded order.
+    its true summed squared distance is evaluated: to each input graph, the
+    least squared distance to a row of its orbit stack.  The minimum over
+    all combinations is the global optimum of the sample-mean objective at
+    this padded order.
     """
     graphs = list(graphs)
     if not graphs:
@@ -120,7 +120,10 @@ def exhaustive_mean_optimum(
     best_cells = None
     for combo in itertools.product(*(range(len(s)) for s in stacks)):
         cand = np.mean([stacks[i][c] for i, c in enumerate(combo)], axis=0)
-        value = sum(min_sq_over_group(cand, m)[0] for m in mats)
+        value = 0.0
+        for s in stacks:
+            diff = s - cand
+            value += float(np.einsum("mijc,mijc->m", diff, diff).min())
         if value < best:
             best = value
             best_cells = cand

@@ -82,7 +82,9 @@ class EditScore:
         ax = np.asarray(a, dtype=np.float64)
         bx = np.asarray(b, dtype=np.float64)
         if self.kind == "dot":
-            return float(ax @ bx)
+            # a product past the largest float is inf, and inf - inf is nan
+            with np.errstate(over="ignore", invalid="ignore"):
+                return float(ax @ bx)
         return 1.0 if np.array_equal(ax, bx) and np.any(ax != 0.0) else 0.0
 
 
@@ -92,6 +94,9 @@ DELTA = EditScore("delta")
 # Built-in costs and the _cell_scores kind that scores them; the kernel-dot
 # cost goes through min_sq_over_group instead.
 _COST_KINDS = {"kernel-delta": "cost-delta", "uniform": "uniform"}
+# Per cost kind, the score it takes and whether it takes an fn.
+_COST_FIELDS = {"kernel-dot": (DOT, False), "kernel-delta": (DELTA, False),
+                "uniform": (None, False), "custom": (None, True)}
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,15 @@ class EditCost:
     kind: str
     score: EditScore | None = None
     fn: Callable | None = None
+
+    def __post_init__(self):
+        # the fields each kind reads; any other value would be ignored
+        if self.kind not in _COST_FIELDS:
+            raise ValueError(f"unknown edit cost kind {self.kind!r}")
+        score, takes_fn = _COST_FIELDS[self.kind]
+        if self.score != score or (self.fn is not None) != takes_fn:
+            raise ValueError(f"edit cost {self.kind!r} takes score={score!r} "
+                             f"and {'a' if takes_fn else 'no'} fn")
 
     @classmethod
     def from_kernel(cls, score: EditScore) -> "EditCost":

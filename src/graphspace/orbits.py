@@ -16,9 +16,11 @@ target cell of y, an (n, n, n*n) cell-pair table with
 table[a, b, i*n + j] = s(x[a, b], y[i, j]), and totals each permutation from
 that table instead of gathering its n*n*d attribute cells.  Every optimum
 (``optimum``, ``max_inner_over_group``, ``min_sq_over_group``) is one walk,
-``_pass``, which keeps the first best total where totals are exact and
-otherwise ranks by them and decides in a reference form.  Orbits, isotropy
-groups, kernels, metrics, alignments and means are all scans of this engine.
+``_pass``, which alone decides value and witness: the first best total
+where totals are exact, else ranks by them and decides in a reference form
+(a lone row scored as in a batch), and its first row when every row scores
+-inf.  Orbits, isotropy groups, kernels, metrics, alignments and means are
+all scans of this engine.
 
 The scan is memory-bounded and never materialises the whole group:
 
@@ -562,9 +564,9 @@ def optimum(table: np.ndarray, maximize: bool = False, skip_identity: bool = Fal
     and eps = 3 N^2 u M covers both while (N + 1) u < 0.01 (at n = 1 the
     one row needs none).  When 2 N M overflows, partial sums may: then
     every row is re-scored.  A row with an infinite entry totals inf in
-    every order; when every row does, the first wins.  A minimum is the
-    maximum of the negated table, negation being exact in every sum, and
-    0.0 - best restores the sign without a -0.0.
+    every order; when every row does, the walk's first row wins.  A minimum
+    is the maximum of the negated table, negation being exact in every sum,
+    and 0.0 - best restores the sign without a -0.0.
     """
     n = table.shape[0]
     table = table * (1 if maximize else -1)
@@ -576,8 +578,6 @@ def optimum(table: np.ndarray, maximize: bool = False, skip_identity: bool = Fal
             rank, eps = np.zeros_like(table), 0.0
     [(best, witness)] = _pass(rank[None], [eps], skip_identity, n * n,
                               lambda q, chunk, rows: _cell_order(table, chunk.perms(rows)))
-    if witness is None and (first := next(_chunks(n, skip_identity), None)):
-        witness = first.permutation(0)  # every row totals -inf
     return Witnessed(best if maximize else 0.0 - best, witness)
 
 
@@ -593,16 +593,6 @@ def _integral_many(x: np.ndarray, ys: np.ndarray) -> list[bool]:
     whole = np.all(ys == np.trunc(ys), axis=(1, 2, 3)).tolist()
     # Python floats: a sum or product past the largest float is inf, unwarned
     return [w and x.size * (top + t) * (top + t) < 2**24 for w, t in zip(whole, tops)]
-
-
-def _near_best(ip: np.ndarray, eps: np.ndarray) -> list[np.ndarray]:
-    """Per row of a (P, rows) array of totals, the rows at or above the
-    threshold fl(fl(max) - fl(eps)) of the row's eps, all in ip's dtype;
-    none where the max is -inf (every row totals -inf)."""
-    top = ip.max(axis=1)
-    keep = ip >= (top - eps)[:, None]
-    return [np.flatnonzero(k) if t > -math.inf else np.empty(0, np.intp)
-            for k, t in zip(keep, top.tolist())]
 
 
 def _dot_form(g: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -636,15 +626,18 @@ def _pass(
 ) -> list[tuple[float, Permutation | None]]:
     """The one walk of the group for an optimum: per table q of a (P, n, n,
     n*n) stack of one dtype, its largest score and the first permutation
-    reaching it (-inf and None when no row is scored).  With eps[q] None
-    its totals are exact, and the first largest decides.  Otherwise the rows
-    they rank within eps[q] of each chunk's best (``_near_best``) are
-    re-scored in the reference form ``rescore(q, chunk, rows)``, which reads
-    ``cells`` cells per row, and the first largest of those decides.  Parts
-    of a shortlist hold _RESCORE_CELLS cells, and at least two rows unless
-    the shortlist has one: ``np.einsum`` adds the cells of a lone row of
-    more than 8192 cells in another order than those of rows scored
-    together, so a split must leave no row alone.
+    reaching it.  Each witness starts as the walk's first row, at -inf, so
+    when every row scores -inf the first wins; with no row (``skip_identity``
+    at n <= 1) the result is -inf and None.  With eps[q] None its totals are
+    exact, and the first largest decides.  Otherwise each chunk shortlists
+    the rows whose totals reach fl(fl(max) - fl(eps[q])) in the totals'
+    dtype (none when the max is -inf), re-scores them in the reference form
+    ``rescore(q, chunk, rows)``, which reads ``cells`` cells per row, and
+    the first largest score decides, a nan above every number as in
+    ``np.argmax``.  Shortlists are re-scored in parts of _RESCORE_CELLS
+    cells, at least two rows, and a part of one row as two copies of it:
+    ``np.einsum`` adds the cells of a lone row of more than 8192 cells in
+    another order than those of a batch.
     """
     step = max(2, _RESCORE_CELLS // max(cells, 1))
     exact = [q for q, e in enumerate(eps) if e is None]
@@ -653,24 +646,27 @@ def _pass(
     best = [-math.inf] * len(eps)
     witness: list[Permutation | None] = [None] * len(eps)
     for chunk in _chunks(tables.shape[1], skip_identity):
+        if witness[0] is None:
+            witness = [chunk.permutation(0)] * len(eps)
         vals = chunk.totals(tables)  # a view of this thread's buffers
         if exact:
             ex = vals[exact] if ranked else vals
             for q, top, i in zip(exact, ex, ex.argmax(axis=1).tolist()):
-                v = float(top[i])
-                if witness[q] is None or v > best[q]:
+                if (v := float(top[i])) > best[q]:
                     best[q], witness[q] = v, chunk.permutation(i)
-        # read before anything else totals: the shortlists are copies
-        shorts = _near_best(vals[ranked] if exact else vals, margin) if ranked else []
-        for q, short in zip(ranked, shorts):
-            # parts of step rows; a lone last row joins the part before it
-            for start in range(0, len(short) - 1 or 1, step):
-                part = short[start : start + step + (start + step == len(short) - 1)]
-                scores = rescore(q, chunk, part)
-                i = int(np.argmax(scores))
-                v = float(scores[i])
-                if witness[q] is None or v > best[q]:
-                    best[q], witness[q] = v, chunk.permutation(int(part[i]))
+        if ranked:
+            ranks = vals[ranked] if exact else vals
+            top = ranks.max(axis=1)
+            keep = ranks >= (top - margin)[:, None]
+            for q, k, t in zip(ranked, keep, top.tolist()):
+                short = np.flatnonzero(k) if t > -math.inf else k[:0]
+                for start in range(0, len(short), step):
+                    part = short[start : start + step]
+                    scores = rescore(q, chunk, part.repeat(2) if len(part) == 1 else part)
+                    i = int(np.argmax(scores))  # 0 for a lone row's two copies
+                    v = float(scores[i])
+                    if v > best[q] or math.isnan(v) and not math.isnan(best[q]):
+                        best[q], witness[q] = v, chunk.permutation(int(part[i]))
     return list(zip(best, witness))
 
 

@@ -19,6 +19,7 @@ from graphspace import (
     scalar_mult,
     to_matrix,
 )
+from graphspace import orbits
 from graphspace.sampling import random_graph, unit_complete
 
 ARROW2 = AttributedGraph(True, 1, [(0.0,), (0.0,)], [((0, 1), (2.0,))])
@@ -141,6 +142,21 @@ def test_sample_mean_trace_and_oracle():
             assert later <= earlier + 1e-12
         optimum, _ = exhaustive_mean_optimum(graphs)
         assert res.frechet_value >= optimum - 1e-9
+
+
+def test_mean_oracle_runs_without_the_scan_engine(monkeypatch):
+    # The oracle scores each candidate against the orbit rows it enumerates
+    # itself, so it stays independent of the scans sample_mean runs.
+    rng = np.random.default_rng(10)
+    graphs = [random_graph(rng, 3, 1, edge_prob=0.4) for _ in range(3)]
+    value, mean = exhaustive_mean_optimum(graphs)
+
+    def engine(*args, **kwargs):
+        raise AssertionError("the oracle called the scan engine")
+
+    for name in ("_pass", "min_sq_over_group"):
+        monkeypatch.setattr(orbits, name, engine)
+    assert exhaustive_mean_optimum(graphs) == (value, mean)
 
 
 def test_sample_mean_is_deterministic():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from graphspace import (
     GraphMatrix,
     Permutation,
     edit_kernel,
+    from_matrix,
     general_ged,
     greedy_bound,
     induced_metric,
@@ -57,6 +59,20 @@ def test_edit_costs():
     assert uniform((0.0,), (0.0,)) == 0.0
     custom = EditCost.custom(lambda a, b: abs(a[0] - b[0]))
     assert custom((1.0,), (4.0,)) == 3.0
+
+
+@pytest.mark.parametrize("fields, message", [
+    (("kernel-dot", DELTA), "edit cost 'kernel-dot' takes score=EditScore(kind='dot') and no fn"),
+    (("uniform", DOT), "edit cost 'uniform' takes score=None and no fn"),
+    (("bogus",), "unknown edit cost kind 'bogus'"),
+    (("custom",), "edit cost 'custom' takes score=None and a fn"),
+], ids=["kernel-dot-with-delta", "uniform-with-score", "unknown-kind", "custom-without-fn"])
+def test_edit_cost_rejects_fields_its_kind_would_ignore(fields, message):
+    # kernel-dot with DELTA scanned as the dot cost but was called as the
+    # delta one; uniform ignored its score; an unknown kind and a custom cost
+    # without fn failed only inside general_ged.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EditCost(*fields)
 
 
 def test_transformation_score_examples():
@@ -295,6 +311,19 @@ def test_greedy_bound_never_crosses_exact_values():
         bound = greedy_bound(x, y, DOT)
         assert bound.lower_kernel <= edit_kernel(x, y, DOT).value + 1e-12
         assert bound.upper_metric >= induced_metric(x, y) - 1e-12
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_greedy_bound_past_the_largest_float_warns_nothing(signed):
+    # At 1e160 two node attributes' product passes the largest float: the
+    # dot lower bound is inf, or nan once inf - inf meets, as the edit
+    # kernel's value is; no RuntimeWarning reaches the caller.
+    rng = np.random.default_rng(44)
+    cells = rng.normal(size=(5, 5, 2)) if signed else rng.integers(0, 3, size=(5, 5, 2))
+    x = from_matrix(GraphMatrix(1e160 * cells), directed=True)
+    y = from_matrix(GraphMatrix(1e160 * cells[::-1, ::-1]), directed=True)
+    want = "nan" if signed else "inf"
+    assert repr(greedy_bound(x, y, DOT).lower_kernel) == repr(edit_kernel(x, y, DOT).value) == want
 
 
 def test_unknown_morphism_class_rejected():

@@ -457,6 +457,37 @@ def test_rho_star_matches_diff_form_bit_for_bit(n, d, seed, kind, scale):
     assert Alignment(center).rho_star.hex() == (0.25 * math.sqrt(sq)).hex()
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_lone_shortlisted_rows_score_as_in_a_batch(seed):
+    # N = 9000 > 8192 cells: np.einsum adds a lone row's cells in another
+    # order than a batch's, and these shortlists often hold one row.  Values
+    # and witnesses are those of the reference forms over all 6 rows at once.
+    x, y = np.random.default_rng(seed).standard_normal((2, 3, 3, 1000))
+    perms = orbits.permutation_array(3)
+    g = permuted(x, perms)
+    sq = np.einsum("mijc,mijc->m", g - y, g - y)
+    dot = np.einsum("mijc,ijc->m", g, y)
+    for res, i, scores in ((orbits.min_sq_over_group(x, y), sq.argmin(), sq),
+                           (orbits.max_inner_over_group(x, y), dot.argmax(), dot)):
+        assert _bits(res.value, res.witness.images) == _bits(float(scores[i]), perms[i].tolist())
+
+
+def test_a_nan_score_ranks_as_in_argmax():
+    # 4 R^2 overflows, so every row is re-scored in parts.  The rows that put
+    # 1e200 and -1e200 on y's two nonzero cells score inf - inf = nan; they
+    # come after rows scoring inf, in a later part.  The walk decides as
+    # np.argmax over every row's reference score does: the first nan wins.
+    x, y = np.zeros((2, 7, 7, 1))
+    x[6, 6], x[5, 5] = 1e200, -1e200
+    y[0, 0] = y[1, 1] = 1e200
+    perms = orbits.permutation_array(7)
+    dot = np.einsum("mijc,ijc->m", permuted(x, perms), y)
+    i = int(np.argmax(dot))
+    assert math.isnan(dot[i]) and np.isinf(dot[:i]).any() and i >= orbits._RESCORE_CELLS // 49
+    res = orbits.max_inner_over_group(x, y)
+    assert math.isnan(res.value) and res.witness.images == tuple(perms[i].tolist())
+
+
 # ------------------------------------------------------------ cell-pair tables
 
 
@@ -604,6 +635,19 @@ def test_custom_cost_infinite_on_padding_ties_at_the_identity():
         ref = ref_optimum(5, custom_score(xm, ym, _null_inf_cost), False, feasible)
         assert _bits(res.value, res.witness.images) == _bits(*ref), morphisms
         assert (res.value, res.witness.images) == (math.inf, tuple(range(5)))
+
+
+def test_an_everywhere_infinite_custom_cost_walks_the_group_once(monkeypatch):
+    # Every row totals inf, so none is shortlisted, and the walk's first row,
+    # the identity, is the witness: no second walk looks for it.
+    walks = []
+    real = orbits.iter_permutation_blocks
+    monkeypatch.setattr(orbits, "iter_permutation_blocks", lambda m: walks.append(m) or real(m))
+    rng = np.random.default_rng(6)
+    x, y = (random_graph(rng, 6, 1) for _ in range(2))
+    res = general_ged(x, y, EditCost.custom(lambda a, b: math.inf), order=6)
+    assert (res.value, res.witness.images) == (math.inf, tuple(range(6)))
+    assert walks == [6]
 
 
 def _tenth_cost(a, b):

@@ -16,8 +16,11 @@ near-ties with cells near 1e-160 and 1e-162, whose squares underflow.
 Order-3 pairs with d = 116508 and 116509 put N + 3 = 9 d + 3 just under
 and just over 2^20, where inner products switch from float32 to float64
 totals, as Gaussian near-ties and as small integers on both sides of
-2^24.  Padded pairs also come with the smaller
-graph first (orders 8 and 9), scaled by 1e160, and with a negative y-node
+2^24.  Plain Gaussian pairs just above N = 8192 cells (order 3 with d = 911
+and 1000, order 9 with d = 102; four seeds each), whose shortlists often
+hold one row, run the metric and the dot kernel, and a custom cost
+infinite on every pair runs at orders 8 and 9, where every row totals inf.
+Padded pairs also come with the smaller graph first (orders 8 and 9), scaled by 1e160, and with a negative y-node
 that compact bijections may not route through padding, at unit scale and
 scaled so that 4 R^2 overflows; at order 9 that pair leaves a whole chunk
 without a compact row.  They call the kernels, metrics, isotropy checks,
@@ -67,6 +70,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -274,6 +278,7 @@ def _cases(gs):
     yield from _symmetric_cases(gs)
     yield from _compact_cases(gs)
     yield from _wide_cases(gs)
+    yield from _lone_row_cases(gs)
     yield from _mean_cases(gs)
     yield from _graph_cases(gs)
 
@@ -357,6 +362,26 @@ def _wide_cases(gs):
                 yield (f"{tag} max_inner_over_group skip_identity={skip}",
                        lambda xc=xc, yc=yc, s=skip: gs.orbits.max_inner_over_group(
                            xc, yc, skip_identity=s))
+
+
+def _lone_row_cases(gs):
+    """Plain Gaussian pairs just above N = 8192 cells, where np.einsum adds a
+    lone row's cells in another order than a batch's and shortlists often
+    hold one row, and a custom cost infinite on every pair at orders 8 and
+    9, where no row is shortlisted and the walk's first row wins."""
+    for (n, d), seed in itertools.product(((3, 911), (3, 1000), (9, 102)), range(4)):
+        xc, yc = np.random.default_rng(seed).standard_normal((2, n, n, d))
+        tag = f"n={n} d={d} seed={seed} lone-gauss"
+        yield (f"{tag} quotient_distance",
+               lambda xc=xc, yc=yc: gs.quotient_distance(gs.GraphMatrix(xc), gs.GraphMatrix(yc)))
+        yield (f"{tag} max_inner_over_group",
+               lambda xc=xc, yc=yc: gs.orbits.max_inner_over_group(xc, yc))
+    infinite = gs.EditCost.custom(lambda a, b: math.inf)
+    rng = np.random.default_rng(8192)
+    for n in (8, 9):
+        x, y = (gs.from_matrix(gs.GraphMatrix(rng.normal(size=(n, n, 1))), True) for _ in "xy")
+        yield (f"n={n} general_ged custom-inf-everywhere",
+               lambda x=x, y=y: gs.general_ged(x, y, infinite))
 
 
 def _alignment_cases(gs, tag, x, y, ym, order):
