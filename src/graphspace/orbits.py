@@ -55,32 +55,43 @@ The scan is memory-bounded and never materialises the whole group:
 * Prefix-tree totals.  A row's entries are summed over the lex prefix
   tree of its m free positions (``_tree(m)``): a node's total is its
   parent's plus the entries of the cells that its new positions close, a
-  cell (i, j), i <= j, closing at position j.  For m = 7 the levels end at
-  the prefix lengths 4, 5 and 7, so a block reads 840 * 10 + 2520 * 5 +
-  5040 * 13 = 86,520 entries instead of 5040 * 28 = 141,120; below, one
-  level reads every cell of every row.  The offsets depend neither on n
-  beyond m nor on the attribute dimension d.  A chunk of one column (a
-  single scan at n <= 7) reads each level in one index; one of several
-  lays its folded entries out as an (m*m*m(m+1)/2, columns) matrix, one
-  column per (partner, block), and one row of offsets reads that entry
-  for every node of every column at once.
+  cell (i, j), i <= j, closing at position j.  The first level reads its
+  cells' entries; every later one closes two positions, lo and lo + 1, at
+  once, from a closing table that each chunk column builds (``_closing``):
+  per earlier position i and images (a, b, e) of i, lo and lo + 1, the
+  entries of the cells (i, lo) and (i, lo + 1), the three cells among lo
+  and lo + 1 added at i = 0, so a node reads lo entries.  For m = 7 the
+  levels end at the prefix lengths 3, 5 and 7, so a block reads 210 * 6 +
+  2520 * 3 + 5040 * 5 = 34,020 entries instead of 5040 * 28 = 141,120,
+  in 14 rows of offsets.  A closing table is a few broadcast adds over
+  strided views of the folded entries, lo * m**3 entries per column, which
+  pays only on long levels: below m = 7, where a one-column chunk totalled
+  1.6 to 5 times slower with closing tables, one level reads every cell
+  of every row.  The offsets depend neither on n beyond m nor on the
+  attribute dimension d.  A chunk of one column (a single scan at n <= 7)
+  reads its folded entries in place, each level in one index; one of
+  several lays its folded entries out as an (m*m*m(m+1)/2, columns)
+  matrix, one column per (partner, block), and one row of offsets reads
+  that entry for every node of every column at once.
 * Memory.  A scan holds its tables, n**4 * 8 bytes per partner (52 KB at
   n = 9), and their signed copies, per chunk the relabelled tables of its
   columns (1.3 MB for 24 at n = 9), and the rows it re-scores in parts of
   _RESCORE_CELLS cells (324 KiB in float64) whatever d, or of two rows
-  where a row holds more.  A chunk of several columns totals into
-  buffers of its thread, which every later chunk and scan on that thread
-  reuses (``_reused``), so the totals allocate nothing once the thread has
-  totalled a chunk as large: the entries by offset, two levels of node
-  totals and the entries read (which then hold the totals in lex order),
-  at most (1372 + 5040 + 2520 + 5040) * 24 * 8 bytes, 2.6 MiB, since no
-  chunk has more than _CHUNK columns.  A float64 scan at n = 9 peaks at 4.6 MiB with them, about
-  5 MB at any order.  Totals are taken in the table's dtype; a float32
-  table halves the relabelled tables and the totals.  Reading the entries
-  is most of a scan's time, and its pace is set by the number of
-  per-index copies, not by bytes: int16 and int32 totals of an integer
-  table were no faster than float32 ones, so wider columns (more of them
-  per chunk) are what makes a read cheaper per entry.
+  where a row holds more.  Chunks total into buffers of their thread,
+  which every later chunk and scan on that thread reuses (``_reused``), so
+  the totals of several columns allocate nothing once the thread has
+  totalled a chunk as large: the closing table and, for several columns,
+  the entries by offset, two levels of node totals and the entries read
+  (which then hold the totals in lex order), at most
+  (1372 + 1715 + 5040 + 2520 + 5040) * 24 * 8 bytes, 2.9 MiB, since no
+  chunk has more than _CHUNK columns.  A float64 scan at n = 9 (a custom
+  cost) peaks at 5.9 MiB with them, about 6 MB at any order.  Totals are
+  taken in the table's dtype; a float32 table halves the relabelled tables
+  and the totals.  Reading the entries is most of a scan's time, and its
+  pace is set by the number of per-index copies, not by bytes: int16 and
+  int32 totals of an integer table were no faster than float32 ones, so
+  wider columns (more of them per chunk) and fewer rows of offsets are
+  what makes a read cheaper.
 * Exact totals.  Scores with integer values per cell (the delta kernel and
   cost, the uniform cost, the cell-equality count behind ``isotropy_group``)
   are 0, 1 or 2, so a total is at most 2 n*n (162 at n = 9) and every
@@ -229,27 +240,73 @@ def _base(n: int) -> np.ndarray:
     return base
 
 
+def _upper(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the cells i <= j of an m x m matrix, numbered u by column:
+    cell (i, j) is u = j(j+1)/2 + i, so the cells that close position j are
+    the consecutive u from j(j+1)/2 on, (j, j) last."""
+    j, i = np.tril_indices(m)
+    return i, j
+
+
 @lru_cache(maxsize=None)
-def _tree(m: int) -> tuple[np.ndarray, ...]:
-    """Offsets into an (m, m, m(m+1)/2) pair table (``_fold``), one
-    (cells, nodes) table per level of the lex prefix tree of m positions.
-    The levels end at the prefix lengths m - 3, m - 2 and m for m = 7, and
-    at m alone below.  A level's nodes are the prefixes t of its length in
-    lex order (a node's children are consecutive in the next level), its
-    cells the (i, j), i <= j, whose j it adds, and its entry for the u-th
-    cell of the m x m matrix in C order and node t is
-    (t_i*m + t_j) * m(m+1)/2 + u."""
+def _tree(m: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """The levels of the lex prefix tree of m positions over which
+    ``_tree_totals`` adds a row's m(m+1)/2 folded entries: per level, the
+    prefix length lo it starts from and a (reads, nodes) table of offsets.
+    The levels end at the prefix lengths 3, 5 and 7 for m = 7, and at m
+    alone below, where a closing table costs a one-column chunk more than
+    it saves.
+    A level's nodes are the prefixes t of its length in lex order, so a
+    node's children are consecutive in the next level.  The first level
+    reads the entries of the cells among its positions from the (m, m,
+    m(m+1)/2) pair layout (``_fold``), at (t_i*m + t_j) * m(m+1)/2 + u for
+    cell u = (i, j).  Every later one closes the two positions lo and
+    lo + 1 from the closing table of lo (``_closing``): one entry per
+    earlier position i, Q[i, t_i, t_lo, t_lo+1] at
+    ((i*m + t_i)*m + t_lo)*m + t_lo+1.  A 7!-row block reads 210 * 6 +
+    2520 * 3 + 5040 * 5 = 34,020 entries."""
     perms = permutation_array(m)
-    i, j = np.triu_indices(m)
+    i, j = _upper(m)
     levels, lo = [], 0
-    for hi in (m - 3, m - 2, m) if m == _FREE else (m,):
-        u = np.flatnonzero((lo <= j) & (j < hi))
-        nodes = perms[:: math.factorial(m - hi), :hi]
-        level = ((nodes[:, i[u]] * m + nodes[:, j[u]]) * len(i) + u).T.copy()
+    for hi in (3, 5, 7) if m == _FREE else (m,):
+        t = perms[:: math.factorial(m - hi), :hi]
+        if levels:
+            b, e = t[:, lo, None], t[:, lo + 1, None]
+            level = ((np.arange(lo) * m + t[:, :lo]) * m + b) * m + e
+        else:
+            u = np.flatnonzero(j < hi)
+            level = (t[:, i[u]] * m + t[:, j[u]]) * len(i) + u
+        level = level.T.copy()
         level.flags.writeable = False
-        levels.append(level)
+        levels.append((lo, level))
         lo = hi
     return tuple(levels)
+
+
+def _closing(by_offset: np.ndarray, m: int, lo: int) -> np.ndarray:
+    """The closing table of the positions lo and lo + 1, as a (lo*m^3, c)
+    array in a buffer of this thread: per column of the folded entries
+    ``by_offset``, (m*m*m(m+1)/2, c), read as P[a, b, u, column] with the
+    cells u numbered by ``_upper``,
+    Q[i, a, b, e] = P[a, b, (i, lo)] + P[a, e, (i, lo+1)] for i < lo,
+    and Q[0] also adds the three cells among lo and lo + 1,
+    P[b, b, (lo, lo)] + P[b, e, (lo, lo+1)] + P[e, e, (lo+1, lo+1)].
+    Each term is a strided view of P.  Entries that no row reads (b == e,
+    or a equal to either) add entries too, which are finite or -inf (the
+    negated cost tables of ``optimum``), so they make no nan, and no
+    overflow where the rows' sums make none."""
+    c = by_offset.shape[1]
+    s0, s1 = lo * (lo + 1) // 2, (lo + 1) * (lo + 2) // 2  # cells (0, lo) and (0, lo+1)
+    p = by_offset.reshape(m, m, -1, c)
+    out = _reused("closing", lo * m**3, c, by_offset.dtype)
+    q = out.reshape(lo, m, m, m, c)
+    np.add(p[:, :, s0 : s0 + lo, None].transpose(2, 0, 1, 3, 4),
+           p[:, None, :, s1 : s1 + lo].transpose(3, 0, 1, 2, 4), out=q)
+    diagonal = p.reshape(m * m, -1, c)[:: m + 1]  # P[a, a] per a
+    q[0] += diagonal[:, None, s0 + lo]
+    q[0] += p[:, :, s1 + lo]
+    q[0] += diagonal[None, :, s1 + lo + 1]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -257,15 +314,15 @@ def _fold_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     """(direct, mirror, diagonal, corner) flat indices for ``_fold`` at order n.
 
     With m = min(n, 7), k = n - m and the cells (i, j), i <= j, of an m x m
-    matrix numbered u in C order, entry (a, b, u) of the (m, m, m(m+1)/2)
-    pair layout reads cell (k+a, k+b, k+i, k+j) of an (n, n, n, n) table
+    matrix numbered u by column (``_upper``), entry (a, b, u) of the (m, m,
+    m(m+1)/2) pair layout reads cell (k+a, k+b, k+i, k+j) of an (n, n, n, n) table
     (direct) and its mirror (k+b, k+a, k+j, k+i) (mirror); diagonal holds
     the entries with i == j, whose mirror is the cell itself, and corner[a,
     b] the entry (a, a, u) of the diagonal cell (b, b).
     """
     m = min(n, _FREE)
     k = n - m
-    i, j = np.triu_indices(m)
+    i, j = _upper(m)
     a = np.arange(k, n)[:, None, None]
     b = np.arange(k, n)[None, :, None]
     direct = ((a * n + b) * n + i + k) * n + j + k
@@ -379,6 +436,42 @@ def _reused(name: str, rows: int, cols: int, dtype: np.dtype) -> np.ndarray:
     return buf[:nbytes].view(dtype).reshape(rows, cols)
 
 
+def _tree_totals(const: np.ndarray, pairs: np.ndarray, m: int) -> np.ndarray:
+    """(c, m!) row totals of c folded copies (``_fold``): per copy, its
+    constant plus the m(m+1)/2 entries of each row, added over the levels
+    of ``_tree(m)``, in lex order.  One copy is read in place, with one fancy
+    index per level; several are laid out as an (m*m*m(m+1)/2, c) matrix by offset,
+    one column per copy, and one row of offsets reads that entry for every
+    node of every column at once, into buffers of this thread, of which the
+    result is then a view."""
+    c, dtype = len(pairs), pairs.dtype
+    if c == 1:
+        by_offset = pairs.T  # already one column by offset: read in place
+    else:
+        by_offset = _reused("offsets", pairs.shape[1], c, dtype)
+        np.copyto(by_offset, pairs.T)
+    total = const[None, :]  # the root's: one node, one column per copy
+    for t, (lo, level) in enumerate(_tree(m)):
+        source = _closing(by_offset, m, lo) if t else by_offset
+        if c == 1:
+            node = source.reshape(-1)[level].sum(axis=0)[:, None]
+        else:
+            # levels alternate between two buffers: the parents' stay intact
+            node = _reused(f"level{t % 2}", level.shape[1], c, dtype)
+            entries = _reused("entries", level.shape[1], c, dtype)
+            np.take(source, level[0], axis=0, out=node, mode="clip")
+            for u in level[1:]:
+                node += np.take(source, u, axis=0, out=entries, mode="clip")
+        children = node.reshape(len(total), -1, c)
+        children += total[:, None, :]
+        total = node
+    if c == 1:
+        return total.T
+    out = _reused("entries", c, len(total), dtype)
+    np.copyto(out, total.T)  # lex order per copy, in the spare buffer
+    return out
+
+
 class _Chunk(NamedTuple):
     """Consecutive prefix blocks of one scan, and the rows it scores.
 
@@ -417,12 +510,15 @@ class _Chunk(NamedTuple):
         (count,) or (P, count).  Each table is relabelled by every block at
         once and folded (``_fold``), and a row's total is its block's
         constant plus its m(m+1)/2 pair entries, added level by level over
-        the lex prefix tree (``_tree``): the fold and the tree regroup the
-        cell scores, which is exact for integer-valued tables and within the
-        shortlist bounds of ``min_sq_over_group`` and ``optimum`` for any
-        other.  With several (partner, block) columns, the result is a view
-        of a buffer of this thread, valid until the next ``totals`` call on
-        it; read it (or copy it) at once.
+        the lex prefix tree (``_tree_totals``), each level after the first
+        closing two positions from a table of sums of their entries
+        (``_closing``): the fold, the closing tables and the tree regroup
+        the cell scores, which is exact for integer-valued tables and within
+        the shortlist bounds of ``min_sq_over_group`` and ``optimum`` for
+        any other, as both hold for every summation tree.  With several
+        (partner, block) columns, the result is a view of a buffer of this
+        thread, valid until the next ``totals`` call on it; read it (or copy
+        it) at once.
         """
         if table.dtype.kind in "biu":
             table = table.astype(np.float32)
@@ -434,31 +530,8 @@ class _Chunk(NamedTuple):
         cells = sig[:, :, None] * n + sig[:, None, :]
         rel = np.take(tables.reshape(len(tables), n * n, n * n), cells, axis=1)
         const, pairs = _fold(rel.reshape(len(tables) * len(sig), n, n, n * n))
-        tree = _tree(min(n, _FREE))
-        if len(pairs) == 1:
-            flat, total = pairs.reshape(-1), const
-            for level in tree:
-                sums = flat[level].sum(axis=0).reshape(len(total), -1)
-                total = (sums + total[:, None]).reshape(-1)
-            return total.reshape(lead + (-1,))[..., self.start :]
-        c, dtype = len(pairs), pairs.dtype
-        # one row of entries per pair offset, one column per (partner, block)
-        by_offset = _reused("offsets", pairs.shape[1], c, dtype)
-        np.copyto(by_offset, pairs.T)
-        total = const[None, :]  # the root's: one node, one column per copy
-        for t, level in enumerate(tree):
-            # levels alternate between two buffers: the parents' stay intact
-            node = _reused(f"level{t % 2}", level.shape[1], c, dtype)
-            entries = _reused("entries", level.shape[1], c, dtype)
-            np.take(by_offset, level[0], axis=0, out=node, mode="clip")
-            for u in level[1:]:
-                node += np.take(by_offset, u, axis=0, out=entries, mode="clip")
-            children = node.reshape(len(total), -1, c)
-            children += total[:, None, :]
-            total = node
-        out = _reused("entries", c, len(total), dtype)
-        np.copyto(out, total.T)  # lex order per partner, in the spare buffer
-        return out.reshape(lead + (-1,))[..., self.start :]
+        totals = _tree_totals(const, pairs, min(n, _FREE))
+        return totals.reshape(lead + (-1,))[..., self.start :]
 
     def gather(self, cells: np.ndarray, which: np.ndarray) -> np.ndarray:
         """``gather(cells, self.perms(which))``.

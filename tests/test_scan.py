@@ -302,6 +302,26 @@ def test_order_nine_scan_builds_no_table_beyond_seven(monkeypatch):
     assert orders and max(orders) <= 7
 
 
+@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("m", range(1, 8))
+def test_prefix_tree_reads_every_cell_once(m, columns):
+    # Cell u's folded entry is 2^u at every (a, b), so a row totals
+    # 2^(m(m+1)/2) - 1 exactly iff it reads each cell once, through the
+    # closing tables or directly.
+    cells = m * (m + 1) // 2
+    entries = np.broadcast_to(2.0 ** np.arange(cells), (columns, m * m, cells))
+    totals = orbits._tree_totals(np.zeros(columns), entries.reshape(columns, -1), m)
+    assert totals.shape == (columns, math.factorial(m))
+    assert np.all(totals == 2.0**cells - 1)
+
+
+def test_a_block_reads_34020_table_entries():
+    levels = orbits._tree(7)
+    assert [lo for lo, _ in levels] == [0, 3, 5]
+    assert [level.shape for _, level in levels] == [(6, 210), (3, 2520), (5, 5040)]
+    assert sum(level.size for _, level in levels) == 34_020
+
+
 def test_totals_reuse_the_buffers_of_their_thread():
     # A multi-block chunk totals into buffers of its thread: a second scan on
     # the thread reuses them, and a scan on another thread has its own.
@@ -1085,7 +1105,7 @@ def test_custom_cost_near_ties_decide_in_cell_order():
     # totals the cell-order optimum an ulp below another row, so a scan that
     # trusted the tree's totals, or re-scored only its ties, would miss it.
     n = 8
-    rng = np.random.default_rng(71)
+    rng = np.random.default_rng(121)
     y = rng.normal(size=(n, n, 1))
     y[n - 1] = y[n - 2]
     y[:, n - 1] = y[:, n - 2]
@@ -1098,8 +1118,11 @@ def test_custom_cost_near_ties_decide_in_cell_order():
     ref = ref_optimum(n, _left_to_right_tenth(xm, ym), False)
     assert _bits(res.value, res.witness.images) == _bits(*ref)
     table = kernels._cost_table(xm, ym, EditCost.custom(_tenth_cost))
-    [(_, first)] = orbits._pass(-table[None], [None], False, n * n, None)  # trusts the tree
+    [(best, first)] = orbits._pass(-table[None], [None], False, n * n, None)  # trusts the tree
     assert first.images != tuple(ref[1])
+    tree = np.concatenate([chunk.totals(-table).copy() for chunk in orbits._chunks(n)])
+    at = np.flatnonzero((orbits.permutation_array(n) == ref[1]).all(axis=1))
+    assert tree[at] < best  # not a tie
 
 
 def _left_to_right(table):

@@ -20,6 +20,10 @@ totals, as Gaussian near-ties and as small integers on both sides of
 and 1000, order 9 with d = 102; four seeds each), whose shortlists often
 hold one row, run the metric and the dot kernel, and a custom cost
 infinite on every pair runs at orders 8 and 9, where every row totals inf.
+At every order 1-9, so at every layout of the prefix tree and through both
+of its reads, one x is scanned against many partners in one walk (25 at
+orders up to 7, in two passes) and alone, and custom costs run that are
+infinite for some x cells and on some cell pairs.
 Padded pairs also come with the smaller graph first (orders 8 and 9), scaled by 1e160, and with a negative y-node
 that compact bijections may not route through padding, at unit scale and
 scaled so that 4 R^2 overflows; at order 9 that pair leaves a whole chunk
@@ -60,7 +64,8 @@ orientations and out of range, null nodes, stripping, padding, equality and
 hashes; ``from_matrix`` of cells holding +0.0 and -0.0; and the type and
 message of the errors for conflicting edges, asymmetric undirected matrices
 and non-finite cells.  Inputs are built with numpy here, not with the trees'
-own samplers, so both trees see the same graphs.
+own samplers, so both trees see the same graphs.  The warnings a case
+raises are part of its result.
 
 Exit status 0 when every result is identical, 1 otherwise (the differing
 cases are listed).
@@ -76,6 +81,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +285,7 @@ def _cases(gs):
     yield from _compact_cases(gs)
     yield from _wide_cases(gs)
     yield from _lone_row_cases(gs)
+    yield from _tree_cases(gs)
     yield from _mean_cases(gs)
     yield from _graph_cases(gs)
 
@@ -382,6 +389,47 @@ def _lone_row_cases(gs):
         x, y = (gs.from_matrix(gs.GraphMatrix(rng.normal(size=(n, n, 1))), True) for _ in "xy")
         yield (f"n={n} general_ged custom-inf-everywhere",
                lambda x=x, y=y: gs.general_ged(x, y, infinite))
+
+
+def _pair_inf_cost(a, b):
+    """Infinite where an x cell above 1.2 meets a y cell below -1.2, so that
+    some rows total inf and others do not; |a - b| elsewhere."""
+    return math.inf if a[0] > 1.2 and b[0] < -1.2 else abs(a[0] - b[0])
+
+
+def _tree_cases(gs):
+    """Every order 1-9, so every layout of the prefix tree (m = 1-7) and both
+    of its reads: one x against many partners in one walk (25 at n <= 7, two
+    passes; 3 at n = 8, one pass of 24 columns; 2 at n = 9, a pass each),
+    with Gaussian, relabelled, small-integer, 1e160-scaled and padded
+    partners, integer x against integer partners (exact totals in every
+    column), single scans of the metric, the dot kernel and isotropy, and
+    custom costs infinite for some x cells (every row totals inf) and on
+    some cell pairs (some rows do), whose closing tables add infinite
+    entries that no row reads."""
+    for n in range(1, 10):
+        rng = np.random.default_rng(7000 + n)
+        count = 25 if n <= 7 else 3 if n == 8 else 2
+        x = rng.normal(size=(n, n, 2))
+        ys = rng.normal(size=(count, n, n, 2))
+        p = rng.permutation(n)
+        ys[0] = x[np.ix_(p, p)]
+        if count > 2:
+            ys[1] = rng.integers(-1, 3, size=(n, n, 2))
+            ys[2] *= 1e160
+        ys[-1, n // 2 :, :] = ys[-1, :, n // 2 :] = 0.0
+        ints = rng.integers(-1, 3, size=(count + 1, n, n, 2)).astype(float)
+        tag = f"n={n} tree"
+        yield f"{tag} min_sq_many", lambda x=x, ys=ys: gs.orbits._min_sq_many(x, ys)
+        yield (f"{tag} min_sq_many int",
+               lambda ints=ints: gs.orbits._min_sq_many(ints[0], ints[1:]))
+        yield (f"{tag} max_inner_over_group",
+               lambda x=x, y=ys[-1]: gs.orbits.max_inner_over_group(x, y))
+        yield f"{tag} isotropy_group", lambda m=gs.GraphMatrix(ints[0]): gs.isotropy_group(m)
+        xg, yg = (gs.from_matrix(gs.GraphMatrix(c[:, :, :1]), True) for c in (x, ys[-1]))
+        for kind, fn in (("custom-inf", _inf_cost), ("custom-pair-inf", _pair_inf_cost)):
+            yield (f"{tag} general_ged {kind}",
+                   lambda c=gs.EditCost.custom(fn), xg=xg, yg=yg: gs.general_ged(xg, yg, c))
 
 
 def _alignment_cases(gs, tag, x, y, ym, order):
@@ -642,10 +690,14 @@ def emit(src: str) -> None:
     from graphspace import cli
 
     for label, thunk in _cases(gs):
-        try:
-            result = _canon(thunk())
-        except Exception as exc:  # a raised error is a result too
-            result = f"raises {type(exc).__name__}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = _canon(thunk())
+            except Exception as exc:  # a raised error is a result too
+                result = f"raises {type(exc).__name__}"
+        if caught:  # and so is a warning
+            result = [result, sorted({f"{w.category.__name__}: {w.message}" for w in caught})]
         print(json.dumps([label, result]), flush=True)
     for label, result in (*_gram_cases(gs, cli), *_align_mean_cases(gs, cli),
                           *_compact_cli_cases(gs, cli), *_check_cases(cli)):
