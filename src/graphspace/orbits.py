@@ -65,9 +65,9 @@ The scan is memory-bounded and never materialises the whole group:
   2520 * 3 + 5040 * 5 = 34,020 entries instead of 5040 * 28 = 141,120,
   in 14 rows of offsets.  A closing table is a few broadcast adds over
   strided views of the folded entries, lo * m**3 entries per column, which
-  pays only on long levels: below m = 7, where a one-column chunk totalled
-  1.6 to 5 times slower with closing tables, one level reads every cell
-  of every row.  The offsets depend neither on n beyond m nor on the
+  pays only on long levels: below m = 7, where a closing table costs a
+  one-column chunk more than it saves, one level reads every cell of
+  every row.  The offsets depend neither on n beyond m nor on the
   attribute dimension d.  A chunk of one column (a single scan at n <= 7)
   reads its folded entries in place, each level in one index; one of
   several lays its folded entries out as an (m*m*m(m+1)/2, columns)
