@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .graphs import AttributedGraph, GraphMatrix, pad_to_order, to_matrix
+from .graphs import AttributedGraph, GraphMatrix, padded_order, to_matrix
 from .orbits import (
     DEFAULT_ORDER_GUARD,
     check_order_guard,
@@ -111,9 +111,9 @@ def exhaustive_mean_optimum(
     graphs = list(graphs)
     if not graphs:
         raise ValueError("need at least one graph")
-    n = max(g.order for g in graphs) if order is None else order
+    n = padded_order(graphs, "bound", order)
     check_order_guard(n, guard)
-    mats = [to_matrix(pad_to_order(g, n)).cells for g in graphs]
+    mats = [to_matrix(g, n).cells for g in graphs]
     perms = permutation_array(n)
     stacks = [gather(m, perms) for m in mats]
     best = math.inf

@@ -20,20 +20,22 @@ endpoints with ``from != to``; undirected graphs list each edge once, in
 either orientation.  Serialization writes floats with full round-trip
 precision.
 
-A graph of order n maps to an n x n matrix of attributes: node attributes on
-the diagonal, edge attributes off it (an undirected edge in both mirror
-cells, so the matrix is symmetric), zero cells for non-edges.  Flattened
-row-major, that matrix is a point of the Euclidean space R^(n*n*d) on which
-all norms and inner products below are taken.  Graphs compared together are
-padded with null nodes to one order n, which ``padded_order`` decides;
-``to_matrix(g, n)`` writes the padding as zero cells, without a padded graph.
+A graph of order n is an n x n matrix of attributes, and stores nothing else:
+node attributes on the diagonal, edge attributes off it (an undirected edge in
+both mirror cells, so the matrix is symmetric), zero cells for non-edges.
+Flattened row-major, that matrix is a point of the Euclidean space R^(n*n*d)
+on which all norms and inner products below are taken.  Graphs compared
+together are padded with null nodes to one order n, which ``padded_order``
+decides; ``to_matrix(g, n)`` writes the padding as zero cells, without a
+padded graph.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from functools import lru_cache
+from itertools import chain
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -78,27 +80,24 @@ def _as_attr(value, dim: int, what: str) -> tuple[float, ...]:
     return tuple(attr)
 
 
-@lru_cache(maxsize=4096)
-def _edge_key(i: int, j: int) -> tuple[int, int]:
-    """The key (i, j) of an edge, one tuple shared by every graph with an
-    edge from node i to node j (up to 4096 pairs, every pair at order 64),
-    so that graphs kept together hold their edge keys once."""
-    return (i, j)
-
-
-def _is_zero(attr: tuple[float, ...]) -> bool:
-    return all(v == 0.0 for v in attr)
+def _edge_list(cells: np.ndarray, directed: bool):
+    """(i, j, attribute list) of each edge, row-major, an undirected edge once
+    (i < j).  -0.0 cells are zero: no edge."""
+    rows, cols = np.nonzero(cells.any(axis=2))
+    edge = rows != cols if directed else rows < cols
+    rows, cols = rows[edge], cols[edge]
+    return zip(rows.tolist(), cols.tolist(), cells[rows, cols].tolist())
 
 
 class AttributedGraph:
     """Immutable graph with node and edge attributes in R^d.
 
-    An undirected edge is stored once, under (i, j) with i < j, and readers
-    derive its mirror (j, i); a directed edge is stored as listed.  Zero edge
-    attributes are rejected (zero means "no edge").
+    Only its matrix is stored, read-only: the cells of non-edges hold +0.0,
+    and every accessor reads the cells.  Zero edge attributes are rejected
+    (zero means "no edge").
     """
 
-    __slots__ = ("directed", "dim", "node_attrs", "_edges")
+    __slots__ = ("directed", "_cells")
 
     def __init__(
         self,
@@ -109,14 +108,11 @@ class AttributedGraph:
     ):
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise GraphFormatError("attr_dim must be an integer >= 1")
-        object.__setattr__(self, "directed", bool(directed))
-        object.__setattr__(self, "dim", dim)
-        nodes = tuple(_as_attr(a, dim, f"node {i}") for i, a in enumerate(node_attrs))
-        object.__setattr__(self, "node_attrs", nodes)
+        nodes = [_as_attr(a, dim, f"node {i}") for i, a in enumerate(node_attrs)]
         n = len(nodes)
-
+        cells = [(0.0,) * dim] * (n * n)  # row-major: the cells of non-edges stay +0.0
+        cells[:: n + 1] = nodes
         items = edge_attrs.items() if isinstance(edge_attrs, Mapping) else edge_attrs
-        edges: dict[tuple[int, int], tuple[float, ...]] = {}
         for (i, j), raw in items:
             if not isinstance(i, int) or not isinstance(j, int):
                 raise GraphFormatError("edge endpoints must be integers")
@@ -127,42 +123,56 @@ class AttributedGraph:
                     f"self-loop edge entry ({i},{i}); node attributes belong in nodes"
                 )
             attr = _as_attr(raw, dim, f"edge ({i},{j})")
-            if _is_zero(attr):
+            if not any(attr):
                 raise GraphFormatError(f"zero edge attribute on ({i},{j})")
-            key = _edge_key(*self._ordered(i, j))
-            if edges.setdefault(key, attr) != attr:
+            if not any(cells[i * n + j]):  # not listed yet: edges are nonzero
+                cells[i * n + j] = attr
+                if not directed:
+                    cells[j * n + i] = attr
+            elif cells[i * n + j] != attr:  # the first listing wins
                 raise GraphFormatError(f"conflicting attributes for edge {(i, j)}")
-        object.__setattr__(self, "_edges", edges)
+        cells = np.fromiter(chain.from_iterable(cells), float, n * n * dim).reshape(n, n, dim)
+        cells.flags.writeable = False
+        object.__setattr__(self, "directed", bool(directed))
+        object.__setattr__(self, "_cells", cells)
 
     def __setattr__(self, name, value):
         raise AttributeError("AttributedGraph is immutable")
 
     @property
     def order(self) -> int:
-        return len(self.node_attrs)
+        return len(self._cells)
 
-    def _ordered(self, i: int, j: int) -> tuple[int, int]:
-        """The pair under which the edge between i and j is stored."""
-        return (i, j) if self.directed or i < j else (j, i)
+    @property
+    def dim(self) -> int:
+        return self._cells.shape[2]
+
+    @property
+    def node_attrs(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self._cells.diagonal().T.tolist()))
 
     def edge_attr(self, i: int, j: int) -> tuple[float, ...] | None:
-        return self._edges.get(self._ordered(i, j))
+        """The edge from i to j (either way if undirected), or None."""
+        i, j, n = index(i), index(j), self.order  # a bool is 0 or 1, not a mask
+        if i != j and 0 <= i < n and 0 <= j < n and self._cells[i, j].any():
+            return tuple(self._cells[i, j].tolist())
+        return None
 
     def has_edge(self, i: int, j: int) -> bool:
-        return self._ordered(i, j) in self._edges
+        return self.edge_attr(i, j) is not None
 
     @property
     def edges(self) -> tuple[tuple[int, int, tuple[float, ...]], ...]:
         """Canonical edge listing: each undirected edge appears once (i < j)."""
-        return tuple((i, j, attr) for (i, j), attr in sorted(self._edges.items()))
+        return tuple((i, j, tuple(attr)) for i, j, attr in _edge_list(self._cells, self.directed))
 
     def degree(self, i: int) -> int:
         """Edges at node i; a directed graph counts in- and out-edges."""
-        return sum(i in key for key in self._edges)
+        return sum(i in (r, c) for r, c, _ in _edge_list(self._cells, self.directed))
 
     def is_null_node(self, i: int) -> bool:
         """True for an isolated node carrying the zero attribute."""
-        return _is_zero(self.node_attrs[i]) and self.degree(i) == 0
+        return not any(self.node_attrs[i]) and self.degree(i) == 0
 
     def _key(self):
         return (self.directed, self.dim, self.node_attrs, self.edges)
@@ -179,7 +189,7 @@ class AttributedGraph:
         kind = "directed" if self.directed else "undirected"
         return (
             f"AttributedGraph({kind}, order={self.order}, dim={self.dim}, "
-            f"edges={len(self._edges)})"
+            f"edges={len(self.edges)})"
         )
 
 
@@ -296,39 +306,25 @@ def load_graph(path) -> AttributedGraph:
 
 def pad_to_order(g: AttributedGraph, n: int) -> AttributedGraph:
     """Append null-nodes until the graph has order n (isomorphism-preserving)."""
-    if n < g.order:
-        raise ValueError(f"cannot pad order {g.order} down to {n}")
-    if n == g.order:
-        return g
-    zero = (0.0,) * g.dim
-    nodes = g.node_attrs + (zero,) * (n - g.order)
-    return AttributedGraph(g.directed, g.dim, nodes, g._edges)
+    return g if n == g.order else from_matrix(to_matrix(g, n), g.directed)
 
 
 def strip_null_nodes(g: AttributedGraph) -> AttributedGraph:
     """Remove every isolated zero-attribute node (g itself if there is none)."""
-    keep = [i for i in range(g.order) if not g.is_null_node(i)]
-    if len(keep) == g.order:
+    linked = g._cells.any(axis=2)  # on the diagonal: a nonzero node attribute
+    keep = linked.any(axis=0) | linked.any(axis=1)
+    if keep.all():
         return g
-    index = {old: new for new, old in enumerate(keep)}
-    nodes = [g.node_attrs[i] for i in keep]
-    edges = [((index[i], index[j]), a) for i, j, a in g.edges]
-    return AttributedGraph(g.directed, g.dim, nodes, edges)
+    return from_matrix(GraphMatrix(g._cells[keep][:, keep]), g.directed)
 
 
 def to_matrix(g: AttributedGraph, order: int | None = None) -> GraphMatrix:
-    """Matrix representation: diagonal node attributes, off-diagonal edges,
-    and zero cells for the null nodes that pad g to ``order``."""
+    """Matrix representation: g's cells, padded to ``order`` with zero cells."""
     n = g.order if order is None else order
     if n < g.order:
         raise ValueError(f"cannot pad order {g.order} down to {n}")
     cells = np.zeros((n, n, g.dim))
-    for i, attr in enumerate(g.node_attrs):
-        cells[i, i] = attr
-    for (i, j), attr in g._edges.items():
-        cells[i, j] = attr
-        if not g.directed:
-            cells[j, i] = attr
+    cells[: g.order, : g.order] = g._cells
     return GraphMatrix(cells)
 
 
@@ -336,9 +332,7 @@ def from_matrix(m: GraphMatrix, directed: bool) -> AttributedGraph:
     """Inverse of to_matrix.  Undirected output requires symmetric cells."""
     if not directed and not m.is_symmetric():
         raise GraphFormatError("asymmetric matrix cannot represent an undirected graph")
-    off = m.cells.any(axis=2) & ~np.eye(m.n, dtype=bool)  # -0.0 cells are zero: no edge
-    rows, cols = np.nonzero(off if directed else np.triu(off))
-    edges = zip(zip(rows.tolist(), cols.tolist()), m.cells[rows, cols].tolist())
+    edges = [((i, j), attr) for i, j, attr in _edge_list(m.cells, directed)]
     return AttributedGraph(directed, m.dim, m.cells.diagonal().T.tolist(), edges)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from graphspace import (
     AttributedGraph,
+    GraphFormatError,
     angle_cosine,
     cauchy_schwarz_gap,
     exhaustive_mean_optimum,
@@ -157,6 +158,16 @@ def test_mean_oracle_runs_without_the_scan_engine(monkeypatch):
     for name in ("_pass", "min_sq_over_group"):
         monkeypatch.setattr(orbits, name, engine)
     assert exhaustive_mean_optimum(graphs) == (value, mean)
+
+
+def test_mean_oracle_rejects_mixed_dimensions():
+    # The oracle pads as sample_mean does, so it rejects what padded_order
+    # rejects before it builds a matrix.
+    graphs = [single(1.0), single((1.0, 2.0), dim=2)]
+    with pytest.raises(GraphFormatError, match="dimension mismatch"):
+        exhaustive_mean_optimum(graphs)
+    with pytest.raises(ValueError, match="below graph order"):
+        exhaustive_mean_optimum([ARROW2, single(1.0)], order=1)
 
 
 def test_sample_mean_is_deterministic():

@@ -1,8 +1,15 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphspace
 from graphspace import (
     AttributedGraph,
     GraphFormatError,
@@ -207,15 +214,69 @@ def test_serialized_form_is_stable():
     assert serialize_graph(g) == serialize_graph(parse_graph(serialize_graph(g)))
 
 
-def test_graphs_share_their_edge_keys():
-    # Graphs kept together (a collection, a benchmark's results) hold one
-    # key tuple per ordered node pair, not one per graph.
-    rng = np.random.default_rng(8)
-    graphs = [random_graph(rng, 6, 1, edge_prob=1.0) for _ in range(3)]
-    graphs.append(from_matrix(to_matrix(graphs[0]), directed=False))
-    keys = [{k: k for k in g._edges} for g in graphs]
-    assert keys[0].keys() == keys[1].keys() == keys[3].keys()
-    assert all(keys[0][k] is other[k] for other in keys[1:] for k in keys[0])
+def test_parsed_graphs_hold_only_their_cells():
+    # A graph keeps one (n, n, d) array and no second form of its edges, so a
+    # collection of parsed order-7, d = 2 graphs costs about its cells' bytes.
+    rng = np.random.default_rng(4)
+    texts = [serialize_graph(random_graph(rng, 7, 2)) for _ in range(200)]
+    parse_graph(texts[0])  # first-use allocations are not the graphs'
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graphs = [parse_graph(text) for text in texts]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / len(graphs) <= 1500
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_lookups_out_of_range_find_nothing(directed):
+    # Indices past either end find no edge: -1 does not wrap to the last node.
+    g = AttributedGraph(directed, 1, [(1.0,), (2.0,), (3.0,)], [((0, 2), (4.0,)), ((2, 1), (5.0,))])
+    n = g.order
+    for i, j in ((-1, 0), (0, -1), (-1, 2), (2, -1), (-1, -1), (n, 0), (0, n), (n, 2), (2, n), (n, n)):
+        assert g.edge_attr(i, j) is None and not g.has_edge(i, j)
+    assert g.edge_attr(0, 2) == (4.0,) and g.has_edge(2, 1)
+    assert g.edge_attr(2, True) == g.edge_attr(2, 1) == (5.0,)  # True is 1, not a mask
+    assert g.has_edge(2, 0) != directed and g.has_edge(1, 2) != directed
+    assert g.degree(-1) == g.degree(n) == 0
+
+
+def test_graphs_differing_in_a_signed_zero_are_equal():
+    a = AttributedGraph(False, 2, [(0.0, 1.0), (2.0, 0.0)], [((0, 1), (3.0, 0.0))])
+    b = AttributedGraph(False, 2, [(-0.0, 1.0), (2.0, 0.0)], [((0, 1), (3.0, -0.0))])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert math.copysign(1.0, b.node_attrs[0][0]) == -1.0  # the sign is kept
+    assert math.copysign(1.0, b.edges[0][2][1]) == -1.0
+
+
+def test_graph_values_are_python_floats():
+    g = AttributedGraph(True, 2, [(1, 0.5), (0.0, -2)], [((1, 0), (3, 0.25))])
+    assert g.node_attrs == ((1.0, 0.5), (0.0, -2.0)) and g.edges == ((1, 0, (3.0, 0.25)),)
+    values = [v for attr in g.node_attrs for v in attr] + [v for *_, attr in g.edges for v in attr]
+    assert all(type(v) is float for v in values)
+    assert all(type(k) is int for i, j, _ in g.edges for k in (i, j))
+    assert type(g.degree(0)) is int and type(g.order) is int and type(g.dim) is int
+
+
+def test_graph_hashes_agree_across_interpreters():
+    # Graph hashes hash floats, ints and bools only, which Python does not
+    # salt per process, so every interpreter computes the same values.
+    script = (
+        "from graphspace import parse_graph\n"
+        f"print(hash(parse_graph({TWO_NODE!r})))"
+    )
+    src = str(Path(graphspace.__file__).resolve().parent.parent)
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1] == f"{hash(parse_graph(TWO_NODE))}\n"
 
 
 def test_equal_matrices_hash_alike_across_signed_zeros():

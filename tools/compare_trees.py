@@ -61,9 +61,12 @@ compared on its own: JSON round trips of directed and undirected graphs whose
 edges are listed forward, backward, mixed or in both orientations; their
 matrices, edge listings, ``edge_attr`` and ``has_edge`` lookups in both
 orientations and out of range, null nodes, stripping, padding, equality and
-hashes; ``from_matrix`` of cells holding +0.0 and -0.0; and the type and
-message of the errors for conflicting edges, asymmetric undirected matrices
-and non-finite cells.  Inputs are built with numpy here, not with the trees'
+hashes; ``from_matrix`` of cells holding +0.0 and -0.0; the order, dimension,
+node attributes (-0.0 components among them) and ``degree`` at every index
+from -1 to the order of those graphs and of their padded, stripped and
+``from_matrix``-built copies, with the outcome of ``is_null_node`` at -1 and
+at the order; and the type and message of the errors for conflicting edges,
+asymmetric undirected matrices and non-finite cells.  Inputs are built with numpy here, not with the trees'
 own samplers, so both trees see the same graphs.  The warnings a case
 raises are part of its result.
 
@@ -563,9 +566,16 @@ def _signed_zero_cells(asymmetric):
     return cells
 
 
+def _node_layer(g):
+    """Order, dimension, node attributes and degrees of g, with the outcome
+    of ``is_null_node`` just outside the nodes at -1 and at the order."""
+    return [g.order, g.dim, g.node_attrs, [g.degree(i) for i in range(-1, g.order + 1)],
+            _outcome(lambda: g.is_null_node(-1)), _outcome(lambda: g.is_null_node(g.order))]
+
+
 def _graph_cases(gs):
-    """The graph layer: parsing, serialization, lookups, stripping, padding,
-    equality, hashes and matrices, and the errors of bad input."""
+    """The graph layer: parsing, serialization, lookups, degrees, stripping,
+    padding, equality, hashes and matrices, and the errors of bad input."""
     for directed in (False, True):
         kind = "directed" if directed else "undirected"
         graphs = {name: gs.parse_graph(_listed_graph(directed, pairs))
@@ -580,6 +590,10 @@ def _graph_cases(gs):
                    lambda g=g: [[g.edge_attr(i, j), g.has_edge(i, j)]
                                 for i in range(-1, 7) for j in range(-1, 7)])
             yield f"{tag} null nodes", lambda g=g: [g.is_null_node(i) for i in range(g.order)]
+            yield (f"{tag} node layers",
+                   lambda g=g, d=directed: [_node_layer(h) for h in (
+                       g, gs.pad_to_order(g, 7), gs.strip_null_nodes(g),
+                       gs.from_matrix(gs.to_matrix(g, 6), d))])
             yield f"{tag} strip", lambda g=g: gs.strip_null_nodes(g)
             yield (f"{tag} pad",
                    lambda g=g: [gs.pad_to_order(g, 7), gs.pad_to_order(gs.strip_null_nodes(g), 5),
@@ -594,6 +608,9 @@ def _graph_cases(gs):
                 lambda: gs.from_matrix(gs.GraphMatrix(c), d))
             yield f"{tag} matrix", lambda c=cells, d=directed: _outcome(
                 lambda: gs.to_matrix(gs.from_matrix(gs.GraphMatrix(c), d)))
+            yield f"{tag} node layers", lambda c=cells, d=directed: _outcome(
+                lambda: [_node_layer(h) for g in [gs.from_matrix(gs.GraphMatrix(c), d)]
+                         for h in (g, gs.pad_to_order(g, 6), gs.strip_null_nodes(g))])
         for name, cells in (("empty", np.zeros((0, 0, 1))), ("d=1", [[-0.0, 2.0], [2.0, 1.0]]),
                             ("inf node", [[math.inf, 1.0], [1.0, 0.0]]),
                             ("nan edge", [[0.0, math.nan], [0.0, 1.0]]),
